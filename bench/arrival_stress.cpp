@@ -72,9 +72,7 @@ bas::arrival::Spec with_intensity(bas::arrival::Spec spec,
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
@@ -197,4 +195,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

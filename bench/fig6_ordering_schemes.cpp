@@ -53,9 +53,7 @@ bas::core::Scheme make_ordering_scheme(const std::string& which,
       sched::make_history_estimator(), core::ReadyScope::kAllReleased);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
@@ -151,4 +149,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

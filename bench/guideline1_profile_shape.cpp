@@ -44,9 +44,7 @@ double pass_and_drain_mah(bas::bat::Battery& battery,
   return battery.charge_delivered_mah();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults(
@@ -118,4 +116,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

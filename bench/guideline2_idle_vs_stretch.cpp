@@ -32,7 +32,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults(scenario::with_scenario_defaults(
@@ -132,4 +134,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

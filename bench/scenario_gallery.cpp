@@ -33,7 +33,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bas;
   // The gallery always sweeps the whole catalogue, so a --scenario
   // selector would be a silent no-op — drop it from the option set
@@ -160,4 +162,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -41,9 +41,7 @@ std::vector<double> draw_actuals(const bas::tg::TaskGraph& g,
   return ac;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults({{"dags", "40"},
@@ -139,4 +137,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

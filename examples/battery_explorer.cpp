@@ -98,9 +98,7 @@ void print_trace(double pulse_a, double on_s, double off_s, int cycles) {
       "rescues.\n");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Cli cli(argc, argv,
                 util::Cli::with_bench_defaults({{"pulse", "1.8"},
                                                 {"on", "120"},
@@ -162,4 +160,10 @@ int main(int argc, char** argv) {
     print_trace(pulse_a, on_s, cli.get_double("off"), cycles);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -16,6 +16,7 @@
 #include "scenario/scenario.hpp"
 #include "sched/optimal.hpp"
 #include "taskgraph/graph.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -41,9 +42,7 @@ void print_trace(const std::string& label, const bas::tg::TaskGraph& g,
               run.energy_j);
 }
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   using namespace bas;
   const auto proc = scenario::make_processor("continuous");
 
@@ -80,4 +79,10 @@ int main() {
       "No fixed rule wins both cases; pUBS with per-task estimates picks "
       "the right task each time (Table 1 bench).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -19,6 +19,7 @@
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "taskgraph/set.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -53,9 +54,7 @@ void run_and_print(const char* label, bas::core::Scheme& scheme,
   std::printf("  deadline misses: %zu\n\n", result.deadline_misses);
 }
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   using namespace bas;
   const auto proc = scenario::make_processor("paper");
   const double fmax = proc.fmax_hz();
@@ -99,4 +98,10 @@ int main() {
       "check proves T1/T2 stay safe at fref; it switches to T1 just in\n"
       "time. Deadlines hold in both traces without exceeding fref.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -13,6 +13,7 @@
 #include "analysis/compare.hpp"
 #include "scenario/scenario.hpp"
 #include "taskgraph/set.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -61,9 +62,7 @@ bas::tg::TaskGraphSet media_player_workload() {
   return set;
 }
 
-}  // namespace
-
-int main() {
+int run(int, char**) {
   using namespace bas;
   const auto set = media_player_workload();
   const auto& world = scenario::scenario("multimedia-pipeline");
@@ -126,4 +125,10 @@ int main() {
       "imminent work the longest, so it alone grazes that edge — a few "
       "frames per thousand — while keeping the laEDF-level lifetime.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -13,8 +13,11 @@
 #include "scenario/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "taskgraph/set.hpp"
+#include "util/cli.hpp"
 
-int main() {
+namespace {
+
+int run(int, char**) {
   using namespace bas;
 
   // 1. Describe the workload: two periodic task graphs with precedence
@@ -82,4 +85,10 @@ int main() {
               life_run.battery_lifetime_s / 60.0,
               life_run.battery_delivered_mah);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

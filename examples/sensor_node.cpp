@@ -19,7 +19,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bas;
   util::Cli cli(argc, argv, util::Cli::with_bench_defaults({}));
 
@@ -138,4 +140,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s and %s\n", csv.c_str(), burst_csv.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return bas::util::run_main(argc, argv, run);
 }

@@ -54,7 +54,7 @@ class DiffusionBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  /// Merged-window fast path (event engine window flushes only): the
+  /// Merged-window fast path (merge-window flushes only): the
   /// same exact recurrence, but with the per-term decays produced by
   /// strength reduction — x = e^{-β²t}, decay_m = x^{m²} via
   /// x^{m²} = x^{(m-1)²} · x^{2m-1} — so each probe costs 1 exp and
@@ -64,11 +64,6 @@ class DiffusionBattery final : public Battery {
   /// draw path never takes; covered by the PR 8 written waiver in
   /// EXPERIMENTS.md ("Kernel instrumentation & batching").
   double do_advance_interval(double current_a, double dt_s) override;
-  double do_sigma_after(double current_a, double t_s) const override;
-  /// One shared decay sweep at t serves every current lane; each lane's
-  /// arithmetic is the scalar probe's exactly (bit-identical outputs).
-  void do_sigma_after_batch(const double* currents, std::size_t n,
-                            double t_s, double* out) const override;
   void do_reset() override;
 
  private:
@@ -84,13 +79,13 @@ class DiffusionBattery final : public Battery {
   /// when t matches the previous call. The factors depend on t alone —
   /// not on the cell state or current — so the cache stays valid across
   /// advance() and reset(). This is what lets the common draw path
-  /// (sigma_after + advance at the same t) and the repeated-t probes of
+  /// (sigma_after_c + advance at the same t) and the repeated-t probes of
   /// the cutoff bisection evaluate the series with one exp sweep
   /// instead of two.
   void fill_decay(double t) const;
 
   /// fill_decay(t) plus gain_[m-1] = I·(1−e^{-rate·t})/rate — the
-  /// forcing term both sigma_after and advance evaluate. Keyed on
+  /// forcing term both sigma_after_c and advance evaluate. Keyed on
   /// (t, current): the common draw path computes it once and the
   /// advance() that commits the same interval reads it back.
   void fill_terms(double current_a, double t) const;

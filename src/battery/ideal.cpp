@@ -21,12 +21,6 @@ std::unique_ptr<Battery> IdealBattery::fresh_clone() const {
   return std::make_unique<IdealBattery>(capacity_c_);
 }
 
-double IdealBattery::do_sigma_after(double current_a, double t_s) const {
-  // Pure bucket: depletion is charge out over capacity; idle is free.
-  const double demand_c = current_a > 0.0 ? current_a * t_s : 0.0;
-  return (capacity_c_ - remaining_c_ + demand_c) / capacity_c_;
-}
-
 double IdealBattery::do_draw(double current_a, double dt_s) {
   if (current_a <= 0.0) {
     return dt_s;  // idle costs nothing and recovers nothing

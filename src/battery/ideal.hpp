@@ -21,7 +21,6 @@ class IdealBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  double do_sigma_after(double current_a, double t_s) const override;
   void do_reset() override;
 
  private:

@@ -35,18 +35,12 @@ class PeukertBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  double do_sigma_after(double current_a, double t_s) const override;
-  /// Loops the scalar probe body directly (one virtual dispatch per
-  /// batch); lanes share the rate memo exactly as scalar calls in
-  /// sequence would.
-  void do_sigma_after_batch(const double* currents, std::size_t n,
-                            double t_s, double* out) const override;
   void do_reset() override;
 
  private:
   /// Effective drain rate (C/s) for a current, >= the physical current
-  /// for I > Iref — the memoized pow shared by draw and the probes.
-  double effective_rate(double current_a) const;
+  /// for I > Iref, memoized on the current.
+  double effective_rate(double current_a);
 
   PeukertParams params_;
   double exponent_minus_one_ = 0.0;  // hoisted from the per-draw pow
@@ -54,10 +48,9 @@ class PeukertBattery final : public Battery {
   /// simulator's piecewise-constant profiles repeat the same few
   /// operating-point currents, so most draws skip the pow entirely.
   /// The rate is a pure function of the current and the (fixed)
-  /// params, so the memo stays exact across draws, probes and resets
-  /// (mutable: the const probe paths may warm it).
-  mutable double last_current_a_ = -1.0;
-  mutable double last_rate_ = 0.0;
+  /// params, so the memo stays exact across draws and resets.
+  double last_current_a_ = -1.0;
+  double last_rate_ = 0.0;
   double consumed_c_ = 0.0;  // Peukert-weighted charge
 };
 

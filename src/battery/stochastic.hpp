@@ -48,11 +48,6 @@ class StochasticBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  /// Deterministic expectation probe: the stochastic slot process has
-  /// no closed form, so the probe evaluates the underlying kinetic
-  /// (KiBaM) solution from the current wells — E[depletion] of the
-  /// quantized process, consuming no randomness.
-  double do_sigma_after(double current_a, double t_s) const override;
   void do_reset() override;
 
  private:

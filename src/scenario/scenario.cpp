@@ -328,6 +328,16 @@ const std::vector<ScenarioSpec>& registry() {
   return presets;
 }
 
+/// Every FIELD accepted as --scenario.FIELD=VALUE, in help-text order.
+const std::vector<std::string> kOverrideFields = {
+    "utilization", "util-basis", "graphs", "min-nodes", "max-nodes",
+    "period-lo", "period-hi", "spread", "battery", "processor",
+    "horizon", "ac-model", "battery-window", "arrival",
+    "arrival.jitter", "arrival.gap", "arrival.rate-scale",
+    "arrival.diurnal-amp", "arrival.diurnal-period",
+    "arrival.burst-factor", "arrival.burst-period", "arrival.burst-duty",
+    "arrival.trace", "arrival.trace-repeat"};
+
 }  // namespace
 
 std::string to_string(UtilBasis basis) {
@@ -395,7 +405,6 @@ std::string ScenarioSpec::fingerprint() const {
       << " ac=" << sim.ac_lo_frac << ".." << sim.ac_hi_frac
       << " ac-jitter=" << sim.ac_jitter
       << " stop-on-empty=" << (sim.stop_when_battery_empty ? 1 : 0)
-      << " engine=" << sim::to_string(sim.engine)
       << " battery-window=" << sim.battery_window_s
       << " " << arrival::fingerprint(sim.arrival);
   return out.str();
@@ -472,22 +481,8 @@ std::map<std::string, std::string> with_scenario_defaults(
     const std::string& default_scenario) {
   defaults.emplace("scenario", default_scenario);
   defaults.emplace("list-scenarios", "false");
-  static const char* const kOverrideFields[] = {
-      "utilization",           "util-basis",
-      "graphs",                "min-nodes",
-      "max-nodes",             "period-lo",
-      "period-hi",             "spread",
-      "battery",               "processor",
-      "horizon",               "ac-model",
-      "engine",                "battery-window",
-      "arrival",               "arrival.jitter",
-      "arrival.gap",           "arrival.rate-scale",
-      "arrival.diurnal-amp",   "arrival.diurnal-period",
-      "arrival.burst-factor",  "arrival.burst-period",
-      "arrival.burst-duty",    "arrival.trace",
-      "arrival.trace-repeat"};
-  for (const char* field : kOverrideFields) {
-    defaults.emplace(std::string("scenario.") + field, "");
+  for (const auto& field : kOverrideFields) {
+    defaults.emplace("scenario." + field, "");
   }
   return defaults;
 }
@@ -534,11 +529,6 @@ void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
   }
   if (const auto v = value("ac-model"); !v.empty()) {
     spec.sim.ac_model = ac_model_from_string(v);
-  }
-  if (const auto v = value("engine"); !v.empty()) {
-    // Eager validation: an unknown engine label fails here, at parse
-    // time, with the known-values list — not inside a campaign worker.
-    spec.sim.engine = sim::engine_from_string(v);
   }
   if (const auto v = value("battery-window"); !v.empty()) {
     spec.sim.battery_window_s = parse_double("battery-window", v);
@@ -625,13 +615,8 @@ bool handle_list_request(const util::Cli& cli) {
   table.print();
   std::printf(
       "\nOverride any field of the chosen preset with "
-      "--scenario.FIELD=VALUE (fields: utilization, util-basis, graphs, "
-      "min-nodes, max-nodes, period-lo, period-hi, spread, battery, "
-      "processor, horizon, ac-model, engine, battery-window, arrival, "
-      "arrival.jitter, arrival.gap, "
-      "arrival.rate-scale, arrival.diurnal-amp, arrival.diurnal-period, "
-      "arrival.burst-factor, arrival.burst-period, arrival.burst-duty, "
-      "arrival.trace, arrival.trace-repeat).\n");
+      "--scenario.FIELD=VALUE (fields: %s).\n",
+      util::join(kOverrideFields).c_str());
   return true;
 }
 

@@ -1,11 +1,9 @@
 #pragma once
-// Shared internals of the two simulator engines (tick_engine.cpp and
-// event_engine.cpp): per-run runtime structs, the per-(seed, graph,
-// instance, node) actual-computation draw, the Scratch arena, and the
-// setup/release helpers whose behaviour both engines must share
-// exactly. Everything here was factored verbatim out of the PR 5
-// simulator.cpp — the tick engine's observable behaviour is unchanged
-// (bit-frozen by the tick golden tests).
+// Internals of the simulator (simulator.cpp and event_engine.cpp):
+// per-run runtime structs, the per-(seed, graph, instance, node)
+// actual-computation draw, the Scratch arena, and the setup/release
+// helpers. Their observable behaviour is bit-frozen by the golden
+// tests.
 //
 // Not part of the public API: include only from src/sim/*.cpp.
 
@@ -66,7 +64,7 @@ struct InstanceRt {
 /// bound to its period and a private Rng derived from (config seed,
 /// arrival tag, graph index) — a pure function of the coordinates, so
 /// arrivals are identical across schemes (common random numbers), for
-/// any thread count under the campaign runner, and across engines.
+/// any thread count under the campaign runner.
 /// `next` holds the one precomputed upcoming release; once it reaches
 /// the horizon the stream is closed (kInf) and never drawn from again,
 /// keeping the draw sequence independent of how the run ends.
@@ -88,7 +86,7 @@ struct Phase {
   double start, end;
 };
 
-/// One slice accrued into the event engine's battery merge window,
+/// One slice accrued into the battery merge window,
 /// kept so a window that empties the cell mid-interval can attribute
 /// energy/charge/busy time exactly up to the cutoff.
 struct WinSlice {
@@ -160,11 +158,9 @@ inline double draw_actual(const SimConfig& cfg, const NodeStatic& ns,
 /// before it is read, so the values never depend on what a previous
 /// step (or run) left behind.
 ///
-/// The event engine additionally maintains `edf`, `statuses` and
-/// `expiry` persistently across steps (insert/erase at releases and
-/// completions instead of a per-step rebuild); the tick engine keeps
-/// rebuilding `edf` and `statuses` from scratch each step and never
-/// touches the others.
+/// `edf`, `statuses` and `expiry` are maintained persistently across
+/// steps (insert/erase at releases and completions instead of a
+/// per-step rebuild).
 struct Scratch {
   std::vector<GraphStatic> statics;  // filled once, in the ctor
   std::vector<InstanceRt> inst;
@@ -175,22 +171,22 @@ struct Scratch {
   std::vector<ScoredCandidate> candidates;
   EventQueue queue;
   std::vector<WinSlice> win_slices;
-  /// Event engine: graphs released in the current event batch, each
-  /// once. EDF/status maintenance replays after the batch so the list
-  /// keys stay consistent when several graphs release at one instant.
+  /// Graphs released in the current event batch, each once. EDF/status
+  /// maintenance replays after the batch so the list keys stay
+  /// consistent when several graphs release at one instant.
   std::vector<int> released_batch;
-  /// Event engine: complete-but-unexpired instances as (abs deadline,
-  /// graph), ascending — the watch that zeroes cc_wc_cycles the moment
-  /// t passes the deadline, reproducing the rebuilt snapshot's
-  /// "expired" rule without an O(graphs) sweep per step.
+  /// Complete-but-unexpired instances as (abs deadline, graph),
+  /// ascending — the watch that zeroes cc_wc_cycles the moment t passes
+  /// the deadline, reproducing the rebuilt snapshot's "expired" rule
+  /// without an O(graphs) sweep per step.
   std::vector<std::pair<double, int>> expiry;
   /// SimConfig::check_incremental_state: the from-scratch EDF rebuild
   /// the maintained order is compared against.
   std::vector<int> edf_check;
 };
 
-/// Resets the reused working set without releasing capacity, exactly
-/// as the PR 5 run() prologue did: instances return to the
+/// Resets the reused working set without releasing capacity:
+/// instances return to the
 /// pre-first-release state (an empty node list counts as complete()),
 /// each graph's node buffer keeps its allocation from earlier releases
 /// and runs, and the static status fields are written once so the
@@ -224,8 +220,7 @@ inline void reset_run_state(Scratch& s, std::size_t n) {
 
 /// Builds every graph's arrival stream and precomputes its first
 /// release (streams past the horizon close to kInf and are never drawn
-/// from again) — the exact PR 5 initialization, shared so both engines
-/// see identical release sequences (CRN across engines too).
+/// from again).
 inline void init_arrivals(Scratch& s, const SimConfig& cfg,
                           int n_graphs) {
   for (int g = 0; g < n_graphs; ++g) {
@@ -252,10 +247,10 @@ inline double min_next_release(const Scratch& s) {
 }
 
 /// Releases graph g's next instance at time arrivals[g].next and
-/// advances the stream — the PR 5 release body, shared verbatim:
-/// single-buffered supersede counts a deadline miss, node actuals are
-/// drawn from the stateless per-(instance, node) keys, and the ready
-/// list starts as the no-predecessor ids in ascending order.
+/// advances the stream: single-buffered supersede counts a deadline
+/// miss, node actuals are drawn from the stateless per-(instance, node)
+/// keys, and the ready list starts as the no-predecessor ids in
+/// ascending order.
 inline void release_instance(Scratch& s, const SimConfig& cfg,
                              int g, SimResult& res, bool count_perf) {
   auto& ir = s.inst[static_cast<std::size_t>(g)];

@@ -1,4 +1,4 @@
-// The discrete-event inner loop (Engine::kEvent, the default).
+// The simulator's discrete-event inner loop, Simulator::run.
 //
 // Instead of scanning every arrival stream at the top of each step, the
 // engine keeps a priority queue of (time, kind, actor) events — one
@@ -7,13 +7,10 @@
 // the at-most-one pending job completion in a running-slice register
 // compared against the queue head (see event_queue.hpp for the
 // taxonomy and the deterministic ordering contract). Scheduling
-// decisions are taken at exactly the tick engine's decision points with
-// exactly the tick engine's candidate enumeration and policy-call
-// sequence, so the two engines produce the same execution trajectory
-// in exact arithmetic; where no battery merging applies (no battery,
-// or a recorded profile/trace) the engines agree draw-for-draw.
+// decisions are taken at exactly the paper's decision points: releases
+// and node completions.
 //
-// The battery is where the engines differ numerically: executed and
+// Battery merging is the one numerical approximation: executed and
 // idle slices shorter than SimConfig::battery_window_s accrue into a
 // charge-equivalent mean-current window that advances the kernel once
 // per observation point, and constant stretches of at least a window
@@ -25,7 +22,9 @@
 // and busy time exactly up to the cutoff; discrete counters
 // (completions, deadline misses) may include work from the remainder
 // of that one window — the documented slop of deferring battery
-// evaluation.
+// evaluation. With battery_window_s <= 0 (or a recorded profile/trace)
+// every slice draws the battery individually; that per-slice reference
+// is what the *_tick.csv goldens pin byte for byte.
 
 #include <algorithm>
 #include <cmath>
@@ -42,7 +41,7 @@ namespace bas::sim {
 
 using namespace detail;
 
-SimResult Simulator::run_event(bat::Battery* battery) {
+SimResult Simulator::run(bat::Battery* battery) {
   scheme_.reset();
   if (battery != nullptr) {
     battery->reset();
@@ -89,8 +88,8 @@ SimResult Simulator::run_event(bat::Battery* battery) {
   const std::size_t caps_at_start = count_perf ? scratch_caps() : 0;
 
   // Audit runs (profile/trace) flush the battery per slice and stay
-  // draw-for-draw identical to the tick engine; merging applies to the
-  // plain lifetime/feasibility runs campaigns are made of.
+  // draw-for-draw identical to window 0; merging applies to the plain
+  // lifetime/feasibility runs campaigns are made of.
   const bool merging = battery != nullptr && config_.battery_window_s > 0.0 &&
                        !config_.record_profile && !config_.record_trace;
 
@@ -220,8 +219,7 @@ SimResult Simulator::run_event(bat::Battery* battery) {
         }
         return dur;  // applied to res at the flush
       }
-      // Exact per-slice path (audit runs): identical to the tick
-      // engine's consume().
+      // Exact per-slice path (window 0 and audit runs).
       sustained = battery->draw(current_a, dur);
       if (count_perf) {
         ++res.perf.battery_draws;
@@ -247,9 +245,8 @@ SimResult Simulator::run_event(bat::Battery* battery) {
   const bool need_estimate = scheme_.priority->uses_estimate();
   // Estimator history is observable only through estimate() calls; when
   // the priority never consults the estimator (Random and the fixed
-  // orderings), feeding its history is dead work the event engine
-  // skips. The tick engine keeps observing — the skip cannot move any
-  // output either engine reports.
+  // orderings), feeding its history is dead work the engine skips —
+  // the skip cannot move any output.
   const bool feed_estimator = need_estimate;
 
   // A run-constant DVS policy (noDVS, staticDVS) returns the same fref
@@ -516,8 +513,8 @@ SimResult Simulator::run_event(bat::Battery* battery) {
     prof.lap(obs::Phase::kDvsSelect);
 
     // ---- 5. ready list + priority order (the ordering half) ----------
-    // Candidate enumeration order is the tick engine's exactly, so a
-    // stochastic priority's draw stream stays aligned across engines.
+    // Candidates are enumerated in EDF position, then ready-node id
+    // order; a stochastic priority's draw stream follows this order.
     s.candidates.clear();
     const std::size_t scan_depth =
         scheme_.scope == core::ReadyScope::kAllReleased ? s.edf.size() : 1;
@@ -545,8 +542,8 @@ SimResult Simulator::run_event(bat::Battery* battery) {
     }
     prof.lap(obs::Phase::kCandidateBuild);
     // A lone candidate needs no order — unless the priority consumes
-    // randomness, in which case it is scored anyway to keep its stream
-    // aligned with the tick engine's.
+    // randomness, in which case it is scored anyway: the priority draws
+    // once per candidate per decision point.
     const bool do_score = n_cand > 1 || stochastic_prio;
     if (do_score) {
       for (auto& sc : s.candidates) {
@@ -564,8 +561,8 @@ SimResult Simulator::run_event(bat::Battery* battery) {
 
     // Selection: the unique (score, graph, node) minimum, falling back
     // to the fully sorted walk only when that minimum fails the
-    // feasibility guard (rare) — the same chosen candidate the tick
-    // engine's sort-then-walk produces.
+    // feasibility guard (rare) — the same chosen candidate a full
+    // sort-then-walk produces.
     auto cand_less = [](const ScoredCandidate& a, const ScoredCandidate& b) {
       if (a.score != b.score) {
         return a.score < b.score;

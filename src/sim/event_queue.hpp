@@ -1,11 +1,11 @@
 #pragma once
 // Deterministic discrete-event queue — the spine of the event-driven
-// simulator core (Engine::kEvent).
+// simulator core (sim/event_engine.cpp).
 //
 // The queue orders pending events by (time, kind, actor), a strict
 // total order: two events never tie, so the pop sequence is unique and
 // independent of insertion order and of how the heap happened to be
-// laid out. That invariance is what keeps event-engine runs
+// laid out. That invariance is what keeps simulator runs
 // bit-reproducible for any thread count under the campaign runner (the
 // same property util::insertion_sort documents for the scheduling
 // sorts). The shape follows gacspp's CScheduleable priority-queue
@@ -75,8 +75,8 @@ inline bool event_before(const Event& a, const Event& b) {
 }
 
 /// Binary min-heap over event_before on a reused vector: push/pop are
-/// O(log n) with no allocation once capacity is warm (the event
-/// engine's zero-alloc property covers the queue too).
+/// O(log n) with no allocation once capacity is warm (the
+/// simulator's zero-alloc property covers the queue too).
 class EventQueue {
  public:
   bool empty() const noexcept { return heap_.empty(); }

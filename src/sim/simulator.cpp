@@ -6,21 +6,6 @@
 
 namespace bas::sim {
 
-std::string to_string(Engine engine) {
-  return engine == Engine::kTick ? "tick" : "event";
-}
-
-Engine engine_from_string(const std::string& text) {
-  if (text == "tick") {
-    return Engine::kTick;
-  }
-  if (text == "event") {
-    return Engine::kEvent;
-  }
-  throw std::invalid_argument("unknown engine '" + text +
-                              "' (known values: tick, event)");
-}
-
 Simulator::Simulator(const tg::TaskGraphSet& set, const dvs::Processor& proc,
                      core::Scheme& scheme, SimConfig config)
     : set_(set),
@@ -75,11 +60,6 @@ Simulator::Simulator(const tg::TaskGraphSet& set, const dvs::Processor& proc,
 }
 
 Simulator::~Simulator() = default;
-
-SimResult Simulator::run(bat::Battery* battery) {
-  return config_.engine == Engine::kTick ? run_tick(battery)
-                                         : run_event(battery);
-}
 
 SimResult simulate_scheme(const tg::TaskGraphSet& set,
                           const dvs::Processor& proc, core::SchemeKind kind,

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -178,6 +180,17 @@ std::string Cli::config_summary() const {
     out << "--" << key << ' ' << value;
   }
   return out.str();
+}
+
+int run_main(int argc, char** argv, MainBody body) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::string what = e.what();
+    std::replace(what.begin(), what.end(), '\n', ' ');
+    std::fprintf(stderr, "error: %s\n", what.c_str());
+    return 2;
+  }
 }
 
 }  // namespace bas::util

@@ -100,4 +100,14 @@ class Cli {
   std::vector<std::string> positional_;
 };
 
+/// A driver's entry point: returns its exit status, may throw.
+using MainBody = int (*)(int argc, char** argv);
+
+/// Runs `body` and turns any exception it lets escape — an unknown
+/// option, a bad label, an unwritable output path — into one
+/// `error: <what>` line on stderr and exit status 2, instead of
+/// std::terminate and an abort. Drivers call it from main() as
+/// `return util::run_main(argc, argv, run);`.
+int run_main(int argc, char** argv, MainBody body);
+
 }  // namespace bas::util

@@ -20,7 +20,7 @@ namespace bas::util {
 /// Inserts `value` at its lower_bound position, keeping `v` sorted
 /// under `less`. With a strict TOTAL order this grows exactly the
 /// unique sorted sequence insertion_sort would produce over the same
-/// elements — the property that lets the event engine maintain its EDF
+/// elements — the property that lets the simulator maintain its EDF
 /// order incrementally (one insert per release, one erase per
 /// completion) while staying element-for-element identical to a
 /// per-step rebuild. The comparator must key every element it is asked

@@ -1,34 +1,37 @@
 #!/usr/bin/env bash
 # Differential bit-identity smoke (ctest: golden_bit_identity).
 #
-# Two engines, two golden sets:
+# Two battery merge windows, two golden sets:
 #
-#   *_tick.csv   — generated at the pre-event-engine HEAD (PR 5) with
-#                  the flags below. The tick engine is contracted to be
-#                  bit-frozen: the refactor that split it into
-#                  tick_engine.cpp must never move these bytes.
-#   *.csv        — generated under the event engine (the default since
-#                  the event-driven core landed). Event outputs differ
-#                  from tick only through battery merge windows
+#   *_tick.csv   — generated at PR 5 by the original decision-stepping
+#                  ("tick") simulator, which drew the battery once per
+#                  executed slice, and never regenerated since. The
+#                  event-driven simulator at --scenario.battery-window=0
+#                  makes the same kernel calls in the same order, so it
+#                  must reproduce these bytes exactly: they are the
+#                  anchor that proves simulator refactors preserve the
+#                  original trajectory.
+#   *.csv        — generated at the default battery merge window since
+#                  the event-driven core landed (PR 7). They differ from
+#                  window 0 only through battery merge windows
 #                  (SimConfig::battery_window_s); the numerical-
 #                  equivalence argument lives in EXPERIMENTS.md,
-#                  "Event-driven core". Within one engine the outputs
+#                  "Event-driven core". Within one window the outputs
 #                  are bit-deterministic, which is what this file pins.
 #
 # table2 runs fresh; arrival_stress goes through the full shard + cache
 # + merge campaign path, so shard/merge byte-identity is covered per
-# engine as well.
+# window as well.
 #
-# If a future change moves the event bytes ON PURPOSE (a genuine
-# semantic change, not a perf transformation), regenerate with the
-# commands below and say so in the PR. The tick goldens should only
-# ever be regenerated together with a written waiver — they are the
-# anchor that proves engine refactors preserve the original simulator:
+# If a future change moves the default-window bytes ON PURPOSE (a
+# genuine semantic change, not a perf transformation), regenerate with
+# the commands below and say so in the PR. The *_tick.csv goldens
+# should only ever be regenerated together with a written waiver:
 #
 #   table2_battery_lifetime --sets 2 --jobs 2 --csv tests/golden/table2_smoke.csv
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
-#   (append --scenario.engine=tick for the *_tick.csv variants)
+#   (append --scenario.battery-window=0 for the *_tick.csv variants)
 #
 # Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress golden_dir
 
@@ -40,31 +43,31 @@ golden="$3"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-for engine in event tick; do
-  if [ "$engine" = tick ]; then
-    eng_flag="--scenario.engine=tick"
+for window in default 0; do
+  if [ "$window" = 0 ]; then
+    window_flag="--scenario.battery-window=0"
     suffix="_tick"
   else
-    eng_flag=""  # event is the default engine
+    window_flag=""  # the default merge window
     suffix=""
   fi
 
   # 1. Table 2 smoke cell, fresh run.
-  "$table2" --sets 2 --jobs 2 $eng_flag --csv "$work/table2_$engine.csv" \
+  "$table2" --sets 2 --jobs 2 $window_flag --csv "$work/table2_$window.csv" \
       > /dev/null
-  cmp "$golden/table2_smoke$suffix.csv" "$work/table2_$engine.csv"
+  cmp "$golden/table2_smoke$suffix.csv" "$work/table2_$window.csv"
 
   # 2. arrival_stress smoke cell through the campaign path: two shards
   #    into one cache dir, then a merge — the merged bytes must equal a
-  #    fresh run's (and, for tick, the pre-refactor run's).
-  flags="--sets 1 --scenario.horizon 600 $eng_flag"
-  "$arrival" $flags --jobs 2 --shard 0/2 --cache "$work/cache_$engine" \
+  #    fresh run's (and, at window 0, the PR 5 simulator's).
+  flags="--sets 1 --scenario.horizon 600 $window_flag"
+  "$arrival" $flags --jobs 2 --shard 0/2 --cache "$work/cache_$window" \
       > /dev/null
-  "$arrival" $flags --jobs 2 --shard 1/2 --cache "$work/cache_$engine" \
+  "$arrival" $flags --jobs 2 --shard 1/2 --cache "$work/cache_$window" \
       > /dev/null
-  "$arrival" $flags --merge --cache "$work/cache_$engine" \
-      --csv "$work/arrival_$engine.csv" > /dev/null
-  cmp "$golden/arrival_stress_smoke$suffix.csv" "$work/arrival_$engine.csv"
+  "$arrival" $flags --merge --cache "$work/cache_$window" \
+      --csv "$work/arrival_$window.csv" > /dev/null
+  cmp "$golden/arrival_stress_smoke$suffix.csv" "$work/arrival_$window.csv"
 
-  echo "golden outputs ($engine): OK"
+  echo "golden outputs (window $window): OK"
 done

@@ -1,9 +1,10 @@
 // Observability-layer tests: attaching a TraceLog or recording the
 // phase profile must not perturb any simulation figure (the
-// instrumentation-only contract, both engines), the Chrome-trace JSON
-// must be well formed with per-track monotone timestamps, the phase
-// taxonomy's names must stay fixed (they are a schema), and the
-// metrics registry must keep names unique and in stable order.
+// instrumentation-only contract, at battery merge window 0 and at the
+// default window), the Chrome-trace JSON must be well formed with
+// per-track monotone timestamps, the phase taxonomy's names must stay
+// fixed (they are a schema), and the metrics registry must keep names
+// unique and in stable order.
 //
 // The ON-vs-OFF *build* identity (BAS_PROFILE=1 binaries reproduce the
 // default build bit for bit) is pinned by running this suite and the
@@ -28,7 +29,15 @@
 namespace bas {
 namespace {
 
-sim::SimResult run_scenario(const std::string& name, sim::Engine engine,
+// Battery merge windows the perturbation loops cover: 0 (every slice
+// drawn individually) and the default.
+constexpr double kWindows[] = {0.0, 5.0};
+
+std::string window_label(double window_s) {
+  return "window " + std::to_string(window_s);
+}
+
+sim::SimResult run_scenario(const std::string& name, double window_s,
                             std::uint64_t seed, bool perf_counters,
                             obs::TraceLog* trace_log,
                             double horizon_s = 600.0,
@@ -38,7 +47,7 @@ sim::SimResult run_scenario(const std::string& name, sim::Engine engine,
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(seed, 1000u));
-  config.engine = engine;
+  config.battery_window_s = window_s;
   config.record_perf_counters = perf_counters;
   config.record_phase_profile = phase_profile;
   config.trace_log = trace_log;
@@ -49,7 +58,7 @@ sim::SimResult run_scenario(const std::string& name, sim::Engine engine,
 }
 
 void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b,
-                          const char* label) {
+                          const std::string& label) {
   EXPECT_EQ(a.end_time_s, b.end_time_s) << label;
   EXPECT_EQ(a.energy_j, b.energy_j) << label;
   EXPECT_EQ(a.charge_c, b.charge_c) << label;
@@ -65,36 +74,34 @@ void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b,
 
 // ----------------------------------------------- instrumentation-only
 
-TEST(Obs, AttachingATraceDoesNotPerturbEitherEngine) {
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const char* label =
-        engine == sim::Engine::kTick ? "tick" : "event";
-    const auto plain = run_scenario("paper-table2", engine, 3, false,
+TEST(Obs, AttachingATraceDoesNotPerturbTheRun) {
+  for (const double window : kWindows) {
+    const auto label = window_label(window);
+    const auto plain = run_scenario("paper-table2", window, 3, false,
                                     nullptr);
     obs::TraceLog log;
-    const auto traced = run_scenario("paper-table2", engine, 3, false, &log);
+    const auto traced = run_scenario("paper-table2", window, 3, false, &log);
     expect_bitwise_equal(plain, traced, label);
     EXPECT_GT(log.size(), 0u) << label;
   }
 }
 
-TEST(Obs, RecordingThePhaseProfileDoesNotPerturbEitherEngine) {
+TEST(Obs, RecordingThePhaseProfileDoesNotPerturbTheRun) {
   // record_phase_profile is what arms the PhaseClock in BAS_PROFILE
   // builds; either way the figures must be bit-equal to a bare run.
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const char* label =
-        engine == sim::Engine::kTick ? "tick" : "event";
-    const auto plain = run_scenario("paper-table2", engine, 5, false,
+  for (const double window : kWindows) {
+    const auto label = window_label(window);
+    const auto plain = run_scenario("paper-table2", window, 5, false,
                                     nullptr);
-    const auto profiled = run_scenario("paper-table2", engine, 5, true,
+    const auto profiled = run_scenario("paper-table2", window, 5, true,
                                        nullptr, 600.0, /*phase_profile=*/true);
     expect_bitwise_equal(plain, profiled, label);
   }
 }
 
 TEST(Obs, PhaseProfileMatchesTheBuildConfiguration) {
-  for (const auto engine : {sim::Engine::kTick, sim::Engine::kEvent}) {
-    const auto r = run_scenario("paper-table2", engine, 7, true, nullptr,
+  for (const double window : kWindows) {
+    const auto r = run_scenario("paper-table2", window, 7, true, nullptr,
                                 600.0, /*phase_profile=*/true);
     const auto& phases = r.perf.phases;
     std::uint64_t laps = 0;
@@ -106,15 +113,10 @@ TEST(Obs, PhaseProfileMatchesTheBuildConfiguration) {
       // the lap count tracks the step count (several laps per step).
       EXPECT_GT(phases.total_ns(), 0u);
       EXPECT_GE(laps, r.perf.steps);
-      // incremental-maint is the event engine's EDF/snapshot upkeep;
-      // the tick engine rebuilds per step and never laps it.
-      const auto maint =
-          phases.laps[static_cast<int>(obs::Phase::kIncrementalMaint)];
-      if (engine == sim::Engine::kEvent) {
-        EXPECT_GT(maint, 0u);
-      } else {
-        EXPECT_EQ(maint, 0u);
-      }
+      // incremental-maint is the EDF/snapshot upkeep at releases and
+      // completions, which every run has.
+      EXPECT_GT(phases.laps[static_cast<int>(obs::Phase::kIncrementalMaint)],
+                0u);
     } else {
       EXPECT_EQ(phases.total_ns(), 0u);
       EXPECT_EQ(laps, 0u);
@@ -137,7 +139,6 @@ TEST(Obs, PhasesCoverTheLoopBody) {
   const auto set = spec.make_workload(rng);
   const auto proc = spec.make_processor();
   auto config = spec.sim_config(util::Rng::hash_combine(7u, 1000u));
-  config.engine = sim::Engine::kEvent;
   config.record_perf_counters = true;
   config.record_phase_profile = true;
   auto battery = scenario::make_battery(spec.battery);
@@ -157,7 +158,7 @@ TEST(Obs, PhaseProfileStaysZeroWithoutTheOptIn) {
   // record_perf_counters (which every timed bench rep sets) must NOT
   // arm it, or the perf gate would time the clock reads.
   const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 9, true, nullptr);
+      run_scenario("paper-table2", 5.0, 9, true, nullptr);
   EXPECT_EQ(r.perf.phases.total_ns(), 0u);
 }
 
@@ -166,14 +167,14 @@ TEST(Obs, PhaseProfileStaysZeroWithoutTheOptIn) {
 TEST(Obs, TraceCountsReleasesAndCompletions) {
   obs::TraceLog log;
   const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 11, false, &log);
+      run_scenario("paper-table2", 5.0, 11, false, &log);
   EXPECT_EQ(log.count("release"), r.instances_released);
   EXPECT_EQ(log.count("complete"), r.instances_completed);
 }
 
 TEST(Obs, SortedEventsAreMonotonePerTrack) {
   obs::TraceLog log;
-  run_scenario("paper-table2", sim::Engine::kTick, 13, true, &log);
+  run_scenario("paper-table2", 0.0, 13, true, &log);
   log.name_process(obs::kSimPid, "sim");
   const auto events = log.sorted_events();
   ASSERT_GT(events.size(), 2u);
@@ -233,7 +234,7 @@ TEST(Obs, TraceJsonIsWellFormed) {
 TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
   obs::TraceLog log;
   const auto r =
-      run_scenario("paper-table2", sim::Engine::kTick, 17, false, &log);
+      run_scenario("paper-table2", 0.0, 17, false, &log);
   std::size_t spans = 0;
   double last_end_us = 0.0;
   for (const auto& event : log.sorted_events()) {
@@ -331,7 +332,7 @@ TEST(Obs, FormatValuePrintsCountersAsIntegers) {
 
 TEST(Obs, PerfCounterFillerNamesAreUniqueAndStable) {
   const auto r =
-      run_scenario("paper-table2", sim::Engine::kEvent, 19, true, nullptr);
+      run_scenario("paper-table2", 5.0, 19, true, nullptr);
   obs::Metrics m;
   obs::fill(m, r.perf);
   std::set<std::string> names;

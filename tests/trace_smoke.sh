@@ -41,7 +41,7 @@ grep -q 'process_name' "$work/campaign.json"
 # 2. Direct-mode sim trace from the perf harness (one untimed rep of a
 #    single small cell).
 "$perf" --smoke --sets 1 --scenarios idle-heavy --schemes BAS-2 \
-    --batteries kibam --engine tick --json "$work/perf.json" \
+    --batteries kibam --json "$work/perf.json" \
     --trace-out "$work/direct.json" > /dev/null
 test -s "$work/direct.json"
 grep -q '"traceEvents"' "$work/direct.json"
