@@ -1,6 +1,6 @@
 #pragma once
 // Deterministic discrete-event queue — the spine of the event-driven
-// simulator core (sim/event_engine.cpp).
+// simulator core (sim/simulator.cpp).
 //
 // The queue orders pending events by (time, kind, actor), a strict
 // total order: two events never tie, so the pop sequence is unique and

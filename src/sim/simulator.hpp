@@ -39,7 +39,7 @@ namespace detail {
 // Per-run working state (instance/arrival runtime, status snapshots,
 // EDF order, candidate and phase lists, event queue), owned by the
 // Simulator and reused across steps and runs so the scheduling loops
-// allocate nothing in steady state. Defined in engine_internal.hpp.
+// allocate nothing in steady state. Defined in simulator.cpp.
 struct Scratch;
 }  // namespace detail
 

@@ -1,4 +1,4 @@
-// Incremental scheduler-state contracts (see event_engine.cpp, "incremental
+// Incremental scheduler-state contracts (see sim/simulator.cpp, "incremental
 // maintenance").
 //
 // The simulator does not rebuild the EDF order and the status
