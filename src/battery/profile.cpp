@@ -27,23 +27,6 @@ double LoadProfile::average_current_a() const noexcept {
   return t > 0.0 ? total_charge_c() / t : 0.0;
 }
 
-double LoadProfile::peak_current_a() const noexcept {
-  double peak = 0.0;
-  for (const auto& s : segments_) {
-    peak = std::max(peak, s.current_a);
-  }
-  return peak;
-}
-
-bool LoadProfile::is_non_increasing(double tol) const noexcept {
-  for (std::size_t i = 1; i < segments_.size(); ++i) {
-    if (segments_[i].current_a > segments_[i - 1].current_a + tol) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::size_t LoadProfile::increase_count(double tol) const noexcept {
   std::size_t count = 0;
   for (std::size_t i = 1; i < segments_.size(); ++i) {

@@ -53,11 +53,6 @@ class LoadProfile {
   /// Integral of current over time (C).
   double total_charge_c() const noexcept;
   double average_current_a() const noexcept;
-  double peak_current_a() const noexcept;
-
-  /// True when currents never increase from one segment to the next
-  /// (within `tol` amperes) — Scheduling Guideline 1's global property.
-  bool is_non_increasing(double tol = 1e-9) const noexcept;
 
   /// Counts current increases above `tol` between consecutive segments;
   /// a cheap proxy for how far a profile is from Guideline 1.

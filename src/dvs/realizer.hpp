@@ -40,9 +40,6 @@ struct FreqPlan {
 ///  * continuous processors -> exact single level at fref.
 FreqPlan realize(const Processor& proc, double fref_hz);
 
-/// Average battery current (A) drawn while executing under `plan`.
-double plan_battery_current_a(const Processor& proc, const FreqPlan& plan);
-
 /// Average core power (W) while executing under `plan`.
 double plan_core_power_w(const Processor& proc, const FreqPlan& plan);
 

@@ -1,9 +1,11 @@
 #include "exp/plan.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace bas::exp {
@@ -65,28 +67,19 @@ void feed_string(std::uint64_t& hash, const std::string& text) {
 
 Shard parse_shard(const std::string& text) {
   const auto slash = text.find('/');
-  long long index = -1;
-  long long count = -1;
-  bool ok = slash != std::string::npos && slash > 0;
-  if (ok) {
+  if (slash != std::string::npos) {
     try {
-      std::size_t consumed = 0;
-      index = std::stoll(text.substr(0, slash), &consumed);
-      ok = consumed == slash;
-      if (ok) {
-        const std::string rest = text.substr(slash + 1);
-        count = std::stoll(rest, &consumed);
-        ok = !rest.empty() && consumed == rest.size();
-      }
-    } catch (const std::exception&) {
-      ok = false;
+      const long long count =
+          util::parse_int("--shard", text.substr(slash + 1), 1,
+                          std::numeric_limits<int>::max());
+      const long long index =
+          util::parse_int("--shard", text.substr(0, slash), 0, count - 1);
+      return Shard{static_cast<int>(index), static_cast<int>(count)};
+    } catch (const std::invalid_argument&) {
     }
   }
-  if (!ok || count < 1 || index < 0 || index >= count) {
-    throw std::runtime_error(
-        "option --shard expects 'i/n' with 0 <= i < n, got '" + text + "'");
-  }
-  return Shard{static_cast<int>(index), static_cast<int>(count)};
+  throw std::runtime_error(
+      "option --shard expects 'i/n' with 0 <= i < n, got '" + text + "'");
 }
 
 std::uint64_t spec_fingerprint(const ExperimentSpec& spec) {

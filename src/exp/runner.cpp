@@ -24,6 +24,10 @@ namespace bas::exp {
 
 namespace {
 
+/// Bound of the async writer's ring buffer (records). A full ring
+/// blocks producers (backpressure) rather than dropping records.
+constexpr std::size_t kWriterQueueCapacity = 1024;
+
 /// Job distribution inside one shard: the pending list is split into
 /// per-worker contiguous ranges, each claimed lock-free through its own
 /// atomic cursor; a worker that exhausts its range steals from the
@@ -328,7 +332,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   std::optional<store::AsyncWriter> writer;
   if (cache && !pending.empty()) {
     cache->annotate(spec.title, spec.metrics);
-    writer.emplace(*cache, options_.writer_queue_capacity, tlog);
+    writer.emplace(*cache, kWriterQueueCapacity, tlog);
     // Heartbeat suffix: a metrics-registry snapshot of the writer
     // counters, so the heartbeat and BENCH_perf.json speak the same
     // metric names.

@@ -74,9 +74,6 @@ struct RunnerOptions {
   /// cache (default) or the SQLite database. Both store %.17g doubles,
   /// so merge output is byte-identical across backends.
   store::Backend store_backend = store::Backend::kJsonl;
-  /// Bound of the async writer's ring buffer (records). A full ring
-  /// blocks producers (backpressure) rather than dropping records.
-  std::size_t writer_queue_capacity = 1024;
   /// Execute nothing: fold the complete result from the store alone.
   /// Requires cache_dir; throws when any job is missing (unless
   /// keep_going tolerates jobs recorded as failed).

@@ -47,34 +47,6 @@ std::string method_to_string(tgff::Method method) {
   return "?";
 }
 
-double parse_double(const std::string& key, const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    if (consumed == text.size()) {
-      return value;
-    }
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("--scenario." + key + " expects a number, got '" +
-                              text + "'");
-}
-
-int parse_int(const std::string& key, const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(text, &consumed);
-    if (consumed == text.size() &&
-        value >= std::numeric_limits<int>::min() &&
-        value <= std::numeric_limits<int>::max()) {
-      return static_cast<int>(value);
-    }
-  } catch (const std::exception&) {
-  }
-  throw std::invalid_argument("--scenario." + key +
-                              " expects an integer, got '" + text + "'");
-}
-
 /// Shared baseline every preset tweaks: the paper's lifetime-evaluation
 /// defaults (24 h horizon, no drain, per-node-mean actuals, no
 /// profile/trace recording — battery death ends the run).
@@ -403,8 +375,6 @@ std::string ScenarioSpec::fingerprint() const {
       << " drain=" << (sim.drain ? 1 : 0)
       << " ac-model=" << ac_model_to_string(sim.ac_model)
       << " ac=" << sim.ac_lo_frac << ".." << sim.ac_hi_frac
-      << " ac-jitter=" << sim.ac_jitter
-      << " stop-on-empty=" << (sim.stop_when_battery_empty ? 1 : 0)
       << " battery-window=" << sim.battery_window_s
       << " " << arrival::fingerprint(sim.arrival);
   return out.str();
@@ -492,29 +462,38 @@ void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
     const std::string key = std::string("scenario.") + field;
     return cli.has(key) ? cli.get(key) : std::string();
   };
+  const auto number = [](const char* field, const std::string& text) {
+    return util::parse_double(std::string("--scenario.") + field, text);
+  };
+  const auto integer = [](const char* field, const std::string& text) {
+    return static_cast<int>(
+        util::parse_int(std::string("--scenario.") + field, text,
+                        std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max()));
+  };
   if (const auto v = value("utilization"); !v.empty()) {
-    spec.utilization = parse_double("utilization", v);
+    spec.utilization = number("utilization", v);
   }
   if (const auto v = value("util-basis"); !v.empty()) {
     spec.basis = util_basis_from_string(v);
   }
   if (const auto v = value("graphs"); !v.empty()) {
-    spec.workload.graph_count = parse_int("graphs", v);
+    spec.workload.graph_count = integer("graphs", v);
   }
   if (const auto v = value("min-nodes"); !v.empty()) {
-    spec.workload.min_nodes = parse_int("min-nodes", v);
+    spec.workload.min_nodes = integer("min-nodes", v);
   }
   if (const auto v = value("max-nodes"); !v.empty()) {
-    spec.workload.max_nodes = parse_int("max-nodes", v);
+    spec.workload.max_nodes = integer("max-nodes", v);
   }
   if (const auto v = value("period-lo"); !v.empty()) {
-    spec.workload.period_lo_s = parse_double("period-lo", v);
+    spec.workload.period_lo_s = number("period-lo", v);
   }
   if (const auto v = value("period-hi"); !v.empty()) {
-    spec.workload.period_hi_s = parse_double("period-hi", v);
+    spec.workload.period_hi_s = number("period-hi", v);
   }
   if (const auto v = value("spread"); !v.empty()) {
-    spec.workload.utilization_spread = parse_double("spread", v);
+    spec.workload.utilization_spread = number("spread", v);
   }
   if (const auto v = value("battery"); !v.empty()) {
     make_battery(v);  // validate the label before adopting it
@@ -525,13 +504,13 @@ void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
     spec.processor = v;
   }
   if (const auto v = value("horizon"); !v.empty()) {
-    spec.sim.horizon_s = parse_double("horizon", v);
+    spec.sim.horizon_s = number("horizon", v);
   }
   if (const auto v = value("ac-model"); !v.empty()) {
     spec.sim.ac_model = ac_model_from_string(v);
   }
   if (const auto v = value("battery-window"); !v.empty()) {
-    spec.sim.battery_window_s = parse_double("battery-window", v);
+    spec.sim.battery_window_s = number("battery-window", v);
   }
   bool arrival_touched = false;
   auto& arr = spec.sim.arrival;
@@ -540,35 +519,35 @@ void apply_cli_overrides(ScenarioSpec& spec, const util::Cli& cli) {
     arrival_touched = true;
   }
   if (const auto v = value("arrival.jitter"); !v.empty()) {
-    arr.params.jitter_frac = parse_double("arrival.jitter", v);
+    arr.params.jitter_frac = number("arrival.jitter", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.gap"); !v.empty()) {
-    arr.params.gap_frac = parse_double("arrival.gap", v);
+    arr.params.gap_frac = number("arrival.gap", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.rate-scale"); !v.empty()) {
-    arr.params.rate_scale = parse_double("arrival.rate-scale", v);
+    arr.params.rate_scale = number("arrival.rate-scale", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.diurnal-amp"); !v.empty()) {
-    arr.params.diurnal_amp = parse_double("arrival.diurnal-amp", v);
+    arr.params.diurnal_amp = number("arrival.diurnal-amp", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.diurnal-period"); !v.empty()) {
-    arr.params.diurnal_period_s = parse_double("arrival.diurnal-period", v);
+    arr.params.diurnal_period_s = number("arrival.diurnal-period", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.burst-factor"); !v.empty()) {
-    arr.params.burst_factor = parse_double("arrival.burst-factor", v);
+    arr.params.burst_factor = number("arrival.burst-factor", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.burst-period"); !v.empty()) {
-    arr.params.burst_period_s = parse_double("arrival.burst-period", v);
+    arr.params.burst_period_s = number("arrival.burst-period", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.burst-duty"); !v.empty()) {
-    arr.params.burst_duty = parse_double("arrival.burst-duty", v);
+    arr.params.burst_duty = number("arrival.burst-duty", v);
     arrival_touched = true;
   }
   if (const auto v = value("arrival.trace"); !v.empty()) {

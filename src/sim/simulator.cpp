@@ -60,6 +60,10 @@ namespace bas::sim::detail {
 constexpr double kEps = 1e-9;
 constexpr double kCycleEps = 0.5;  // cycles; completion snap threshold
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// AcModel::kPerNodeMean: half-width of the per-instance jitter added
+/// to a node's mean fraction (the sum is clamped back into
+/// [ac_lo_frac, ac_hi_frac]).
+constexpr double kAcJitter = 0.1;
 
 struct NodeRt {
   double wc = 0.0;
@@ -175,8 +179,7 @@ inline double draw_actual(const SimConfig& cfg, const NodeStatic& ns,
   // per-instance jitter.
   util::Rng jitter_rng(inst_key);
   const double frac =
-      std::clamp(ns.mean_frac + jitter_rng.uniform(-cfg.ac_jitter,
-                                                   cfg.ac_jitter),
+      std::clamp(ns.mean_frac + jitter_rng.uniform(-kAcJitter, kAcJitter),
                  cfg.ac_lo_frac, cfg.ac_hi_frac);
   return ns.wc * frac;
 }
@@ -756,7 +759,7 @@ SimResult Simulator::run(bat::Battery* battery) {
     if (!config_.drain && t >= config_.horizon_s - kEps) {
       break;
     }
-    if (battery_dead && config_.stop_when_battery_empty) {
+    if (battery_dead) {
       break;
     }
 
@@ -847,7 +850,7 @@ SimResult Simulator::run(bat::Battery* battery) {
           res.perf.idle_time_jumped_s += dt;
         }
         accrue(t, dt, proc_.idle_current_a(), 0.0, false);
-        if (battery_dead && config_.stop_when_battery_empty) {
+        if (battery_dead) {
           prof.lap(obs::Phase::kBatteryAdvance);
           break;
         }
@@ -1012,7 +1015,7 @@ SimResult Simulator::run(bat::Battery* battery) {
       }
       last_busy_current = current;
       t_now += sustained;
-      if (battery_dead && config_.stop_when_battery_empty) {
+      if (battery_dead) {
         break;
       }
     }
@@ -1024,7 +1027,7 @@ SimResult Simulator::run(bat::Battery* battery) {
     nr.remaining_ac -= executed_cycles;
     ir.remaining_wc = std::max(0.0, ir.remaining_wc - executed_cycles);
 
-    if (battery_dead && config_.stop_when_battery_empty) {
+    if (battery_dead) {
       break;
     }
 
@@ -1104,7 +1107,7 @@ SimResult Simulator::run(bat::Battery* battery) {
   // Settle the battery: flush whatever the last window holds, then pin
   // the end time to the cutoff if the cell emptied.
   flush_window();
-  if (res.battery_died && config_.stop_when_battery_empty) {
+  if (res.battery_died) {
     t = death_t;
   }
 

@@ -50,7 +50,8 @@ enum class AcModel {
   /// population mean.
   kIid,
   /// Each node has a persistent mean fraction drawn once from U(lo, hi),
-  /// jittered per instance — tasks with stable data-dependent behaviour.
+  /// jittered per instance by U(-0.1, 0.1) — tasks with stable
+  /// data-dependent behaviour.
   /// This is the regime where "keep history of previous instances"
   /// (§4.2) pays off.
   kPerNodeMean,
@@ -68,9 +69,6 @@ struct SimConfig {
   double ac_lo_frac = 0.2;
   double ac_hi_frac = 1.0;
   AcModel ac_model = AcModel::kIid;
-  /// kPerNodeMean: per-instance jitter added to the node's mean fraction
-  /// (result clamped back into [ac_lo_frac, ac_hi_frac]).
-  double ac_jitter = 0.1;
   /// Release model driving every graph's instance arrivals (see
   /// arrival/arrival.hpp). The default "periodic" reproduces the
   /// paper's k * period clock bit-identically. Deadlines stay
@@ -83,8 +81,6 @@ struct SimConfig {
   bool record_trace = false;
   /// Record the battery-current load profile.
   bool record_profile = true;
-  /// With an attached battery: stop the run the moment it empties.
-  bool stop_when_battery_empty = true;
   /// Count hot-path work (scheduling steps, battery draws, scratch-
   /// buffer growth) into SimResult::perf. Counters are instrumentation
   /// only — they never enter a sink or a cache record, so recording
@@ -228,8 +224,8 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs the simulation; with a battery, discharges it inline and (by
-  /// default) stops when it empties. The battery is reset first.
+  /// Runs the simulation; with a battery, discharges it inline and
+  /// stops when it empties. The battery is reset first.
   SimResult run(bat::Battery* battery = nullptr);
 
  private:

@@ -1,20 +1,14 @@
 #include "store/sqlite.hpp"
 
+#include <sqlite3.h>
+
 #include <filesystem>
 #include <optional>
 #include <stdexcept>
 
 #include "exp/plan.hpp"
 
-#ifdef BAS_HAVE_SQLITE
-#include <sqlite3.h>
-#endif
-
 namespace bas::store {
-
-#ifdef BAS_HAVE_SQLITE
-
-bool sqlite_available() noexcept { return true; }
 
 namespace {
 
@@ -280,52 +274,5 @@ CompactionStats compact_sqlite(const std::string& dir,
   sqlite3_close(db);
   return stats;
 }
-
-#else  // !BAS_HAVE_SQLITE
-
-bool sqlite_available() noexcept { return false; }
-
-namespace {
-
-[[noreturn]] void unavailable() {
-  throw std::runtime_error(
-      "SQLite backend unavailable: this binary was built without the "
-      "sqlite3 library (install libsqlite3-dev and reconfigure), "
-      "use --store jsonl instead");
-}
-
-}  // namespace
-
-struct SqliteStore::Impl {};
-
-SqliteStore::SqliteStore(std::string dir, std::uint64_t fingerprint)
-    : dir_(std::move(dir)), fingerprint_(fingerprint) {
-  unavailable();
-}
-
-SqliteStore::~SqliteStore() = default;
-
-std::map<std::size_t, std::vector<double>> SqliteStore::load(std::size_t) {
-  unavailable();
-}
-
-std::map<std::size_t, std::string> SqliteStore::load_errors() {
-  unavailable();
-}
-
-void SqliteStore::append(const std::vector<StoreRecord>&) { unavailable(); }
-
-void SqliteStore::flush() { unavailable(); }
-
-void SqliteStore::annotate(const std::string&,
-                           const std::vector<std::string>&) {
-  unavailable();
-}
-
-CompactionStats compact_sqlite(const std::string&, std::uint64_t) {
-  unavailable();
-}
-
-#endif  // BAS_HAVE_SQLITE
 
 }  // namespace bas::store

@@ -16,10 +16,6 @@
 // serialize on the database lock (busy_timeout), and a kill -9 loses
 // at most the uncommitted batch — WAL journaling recovers everything
 // committed on the next open.
-//
-// Built only when the sqlite3 library is present (BAS_HAVE_SQLITE);
-// otherwise construction throws and store::sqlite_available() is
-// false.
 
 #include <cstdint>
 #include <string>
@@ -32,8 +28,7 @@ class SqliteStore final : public CampaignStore {
  public:
   /// Opens (creating if missing) `dir`/campaign.sqlite for one spec
   /// fingerprint; registers this writer's live marker. Throws
-  /// std::runtime_error when sqlite is unavailable or the database
-  /// cannot be opened.
+  /// std::runtime_error when the database cannot be opened.
   SqliteStore(std::string dir, std::uint64_t fingerprint);
   ~SqliteStore() override;
 

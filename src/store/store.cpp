@@ -32,10 +32,6 @@ Backend backend_from_label(const std::string& label) {
                            "' (valid: jsonl, sqlite)");
 }
 
-const char* backend_label(Backend backend) {
-  return backend == Backend::kSqlite ? "sqlite" : "jsonl";
-}
-
 std::unique_ptr<CampaignStore> make_store(Backend backend, std::string dir,
                                           std::uint64_t fingerprint,
                                           std::string tag) {

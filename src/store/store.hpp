@@ -12,8 +12,7 @@
 //   sqlite  a single `campaign.sqlite` database per store directory
 //           (WAL mode, one upsert-keyed `results` table shared by every
 //           fingerprint), so `--merge` is a query and cross-campaign
-//           analysis is SQL. Built only when the sqlite3 library is
-//           available — see sqlite_available().
+//           analysis is SQL.
 //
 // Both share the engine's %.17g double rendering (exp/sink.hpp), so a
 // result folded from either backend is byte-identical to a fresh run —
@@ -47,13 +46,6 @@ enum class Backend {
 /// Parses "jsonl" / "sqlite"; throws std::runtime_error on anything
 /// else (the message lists the valid labels).
 Backend backend_from_label(const std::string& label);
-
-/// "jsonl" / "sqlite".
-const char* backend_label(Backend backend);
-
-/// True when the binary was built against the sqlite3 library; when
-/// false, constructing a sqlite store throws std::runtime_error.
-bool sqlite_available() noexcept;
 
 /// One persisted row: either a successful job's metrics (error empty)
 /// or a permanent failure (metrics empty, error holds the message).

@@ -1,140 +1,6 @@
 #include "taskgraph/algorithms.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 namespace bas::tg {
-
-std::vector<std::vector<bool>> reachability(const TaskGraph& g) {
-  const std::size_t n = g.node_count();
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  const auto order = g.topological_order();
-  // Process in reverse topological order so successors are complete.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId id = *it;
-    for (NodeId next : g.successors(id)) {
-      reach[id][next] = true;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (reach[next][k]) {
-          reach[id][k] = true;
-        }
-      }
-    }
-  }
-  return reach;
-}
-
-std::vector<std::vector<NodeId>> ancestor_sets(const TaskGraph& g) {
-  const auto reach = reachability(g);
-  const std::size_t n = g.node_count();
-  std::vector<std::vector<NodeId>> anc(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (reach[a][b]) {
-        anc[b].push_back(static_cast<NodeId>(a));
-      }
-    }
-  }
-  return anc;
-}
-
-std::vector<std::vector<NodeId>> descendant_sets(const TaskGraph& g) {
-  const auto reach = reachability(g);
-  const std::size_t n = g.node_count();
-  std::vector<std::vector<NodeId>> desc(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = 0; b < n; ++b) {
-      if (reach[a][b]) {
-        desc[a].push_back(static_cast<NodeId>(b));
-      }
-    }
-  }
-  return desc;
-}
-
-TaskGraph transitive_reduction(const TaskGraph& g) {
-  const auto reach = reachability(g);
-  TaskGraph out(g.period(), g.name());
-  for (NodeId id = 0; id < g.node_count(); ++id) {
-    out.add_node(g.node(id).wcet_cycles, g.node(id).name);
-  }
-  for (NodeId a = 0; a < g.node_count(); ++a) {
-    for (NodeId b : g.successors(a)) {
-      // Edge a->b is redundant if some other successor c of a reaches b.
-      bool redundant = false;
-      for (NodeId c : g.successors(a)) {
-        if (c != b && reach[c][b]) {
-          redundant = true;
-          break;
-        }
-      }
-      if (!redundant) {
-        out.add_edge(a, b);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<int> levels(const TaskGraph& g) {
-  const auto order = g.topological_order();
-  std::vector<int> level(g.node_count(), 0);
-  for (NodeId id : order) {
-    for (NodeId p : g.predecessors(id)) {
-      level[id] = std::max(level[id], level[p] + 1);
-    }
-  }
-  return level;
-}
-
-namespace {
-
-std::uint64_t count_orders_rec(
-    const TaskGraph& g, std::uint64_t done_mask, std::uint64_t cap,
-    std::unordered_map<std::uint64_t, std::uint64_t>& memo) {
-  const std::size_t n = g.node_count();
-  if (done_mask == (n == 64 ? ~0ULL : ((1ULL << n) - 1))) {
-    return 1;
-  }
-  const auto it = memo.find(done_mask);
-  if (it != memo.end()) {
-    return it->second;
-  }
-  std::uint64_t total = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    if (done_mask & (1ULL << id)) {
-      continue;
-    }
-    bool ready = true;
-    for (NodeId p : g.predecessors(id)) {
-      if (!(done_mask & (1ULL << p))) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) {
-      continue;
-    }
-    total += count_orders_rec(g, done_mask | (1ULL << id), cap, memo);
-    if (total >= cap) {
-      total = cap;
-      break;
-    }
-  }
-  memo.emplace(done_mask, total);
-  return total;
-}
-
-}  // namespace
-
-std::uint64_t count_topological_orders(const TaskGraph& g,
-                                       std::uint64_t cap) {
-  if (g.node_count() > 25) {
-    return cap;  // subset DP would be intractable; report saturation
-  }
-  std::unordered_map<std::uint64_t, std::uint64_t> memo;
-  return count_orders_rec(g, 0, cap, memo);
-}
 
 bool is_topological_order(const TaskGraph& g,
                           const std::vector<NodeId>& order) {

@@ -1,39 +1,13 @@
 #pragma once
-// Graph algorithms on task graphs beyond the basics TaskGraph itself
-// offers: reachability, transitive reduction, level assignment, and
-// topological-order counting (used to size the exhaustive search of the
-// Table 1 experiment before committing to it).
+// Order checks on task graphs beyond the basics TaskGraph itself
+// offers: the Table 1 exhaustive search validates every order it is
+// asked to evaluate.
 
-#include <cstdint>
 #include <vector>
 
 #include "taskgraph/graph.hpp"
 
 namespace bas::tg {
-
-/// Reachability matrix: result[a][b] is true when a directed path a->b
-/// exists (a != b). O(V * E) bitset-free implementation; fine for the
-/// graph sizes in this domain (tens of nodes).
-std::vector<std::vector<bool>> reachability(const TaskGraph& g);
-
-/// All ancestors (transitive predecessors) of each node.
-std::vector<std::vector<NodeId>> ancestor_sets(const TaskGraph& g);
-
-/// All descendants (transitive successors) of each node.
-std::vector<std::vector<NodeId>> descendant_sets(const TaskGraph& g);
-
-/// Removes edges implied by transitivity, returning a copy with the same
-/// reachability relation and minimal edge count.
-TaskGraph transitive_reduction(const TaskGraph& g);
-
-/// ASAP level of each node (longest edge-count distance from a source).
-std::vector<int> levels(const TaskGraph& g);
-
-/// Number of distinct topological orders, computed exactly by DP over
-/// antichains up to `cap` (the count saturates at `cap` and stops early).
-/// Exponential in the worst case; always called with a cap.
-std::uint64_t count_topological_orders(const TaskGraph& g,
-                                       std::uint64_t cap);
 
 /// True when `order` is a valid topological order of g.
 bool is_topological_order(const TaskGraph& g,

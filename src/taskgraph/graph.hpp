@@ -74,13 +74,6 @@ class TaskGraph {
   /// Throws std::logic_error when the graph is cyclic.
   std::vector<NodeId> topological_order() const;
 
-  /// Length (cycles) of the longest wcet-weighted path; the minimum time
-  /// to run one instance at a given frequency is critical_path / f only
-  /// on parallel machines — on our single processor the bound is the
-  /// total wcet, but the critical path is still useful for generators
-  /// and sanity checks.
-  double critical_path_cycles() const;
-
   /// Nodes without predecessors.
   std::vector<NodeId> sources() const;
   /// Nodes without successors.

@@ -1,13 +1,59 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 namespace bas::util {
+
+namespace {
+
+/// std::from_chars over all of `text`: no leading blanks or '+', no
+/// trailing characters, and (for unsigned T) no '-'.
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const char* const last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  return ec == std::errc() && end == last;
+}
+
+[[noreturn]] void reject(const std::string& what, const char* expected,
+                         const std::string& text) {
+  throw std::invalid_argument(what + " expects " + expected + ", got '" +
+                              text + "'");
+}
+
+}  // namespace
+
+long long parse_int(const std::string& what, const std::string& text,
+                    long long lo, long long hi) {
+  long long value = 0;
+  if (!parse_whole(text, value) || value < lo || value > hi) {
+    reject(what, "an integer", text);
+  }
+  return value;
+}
+
+double parse_double(const std::string& what, const std::string& text) {
+  double value = 0.0;
+  if (!parse_whole(text, value)) {
+    reject(what, "a number", text);
+  }
+  return value;
+}
+
+std::uint64_t parse_u64(const std::string& what, const std::string& text) {
+  std::uint64_t value = 0;
+  if (!parse_whole(text, value)) {
+    reject(what, "a non-negative integer", text);
+  }
+  return value;
+}
 
 Cli::Cli(int argc, const char* const* argv,
          std::map<std::string, std::string> defaults)
@@ -23,8 +69,8 @@ Cli::Cli(int argc, const char* const* argv,
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw std::runtime_error("unexpected argument '" + arg +
+                               "' (options start with --)");
     }
     std::string name = arg.substr(2);
     std::string value;
@@ -83,21 +129,15 @@ int Cli::jobs() const {
   if (value == "auto" || value == "0") {
     return std::max(1u, std::thread::hardware_concurrency());
   }
-  long long parsed = 0;
-  std::size_t consumed = 0;
   try {
-    parsed = std::stoll(value, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  // Reject trailing garbage ("4x") and out-of-range counts rather than
-  // silently truncating.
-  if (consumed != value.size() || parsed < 1 || parsed > 4096) {
+    return static_cast<int>(parse_int("option --jobs", value, 1, 4096));
+  } catch (const std::invalid_argument&) {
+    // Reject trailing garbage ("4x") and out-of-range counts rather than
+    // silently truncating, naming the accepted forms.
     throw std::runtime_error(
         "option --jobs expects a thread count in [1, 4096] or 'auto', got '" +
         value + "'");
   }
-  return static_cast<int>(parsed);
 }
 
 bool Cli::has(const std::string& name) const {
@@ -113,11 +153,11 @@ std::string Cli::get(const std::string& name) const {
 }
 
 long long Cli::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_int("option --" + name, get(name));
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_double("option --" + name, get(name));
 }
 
 bool Cli::get_flag(const std::string& name) const {
@@ -126,7 +166,7 @@ bool Cli::get_flag(const std::string& name) const {
 }
 
 std::uint64_t Cli::get_u64(const std::string& name) const {
-  return std::stoull(get(name));
+  return parse_u64("option --" + name, get(name));
 }
 
 std::string Cli::summary() const {

@@ -2,9 +2,11 @@
 // Minimal command-line option parsing for bench/example binaries.
 //
 // Supported syntax:  --name value | --name=value | --flag
-// Unknown options throw, so typos in sweep scripts fail loudly.
+// Unknown options, stray positional arguments and malformed numbers
+// throw, so typos in sweep scripts fail loudly.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,7 +20,8 @@ class Cli {
   /// "true" is a boolean flag: bare `--name` sets it to "true" and it
   /// never consumes the following argument (use `--name=false` to
   /// override explicitly). Every other option requires a value.
-  /// Unknown options throw std::runtime_error naming the known options.
+  /// Unknown options throw std::runtime_error naming the known options;
+  /// an argument that is not an option (no leading --) throws naming it.
   Cli(int argc, const char* const* argv,
       std::map<std::string, std::string> defaults);
 
@@ -69,13 +72,13 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
+  /// Numeric getters parse strictly (parse_int / parse_double /
+  /// parse_u64 below): "abc", "1x" and, for get_u64, "-1" throw
+  /// std::invalid_argument "option --NAME expects ...".
   long long get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
   std::uint64_t get_u64(const std::string& name) const;
-
-  /// Positional arguments (anything not starting with --).
-  const std::vector<std::string>& positional() const { return positional_; }
 
   /// Renders "--key value" pairs of the effective configuration, for
   /// reproducibility banners at the top of each bench's output. Options
@@ -97,8 +100,19 @@ class Cli {
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> flags_;
-  std::vector<std::string> positional_;
 };
+
+/// Strict numeric parsing shared by Cli's getters and the
+/// --scenario.FIELD overrides: all of `text` must be one number in
+/// range — no leading blanks, no trailing characters, no sign for
+/// parse_u64 — or std::invalid_argument is thrown reading
+/// "<what> expects an integer, got '<text>'" (parse_double: "a number";
+/// parse_u64: "a non-negative integer").
+long long parse_int(const std::string& what, const std::string& text,
+                    long long lo = std::numeric_limits<long long>::min(),
+                    long long hi = std::numeric_limits<long long>::max());
+double parse_double(const std::string& what, const std::string& text);
+std::uint64_t parse_u64(const std::string& what, const std::string& text);
 
 /// A driver's entry point: returns its exit status, may throw.
 using MainBody = int (*)(int argc, char** argv);

@@ -5,7 +5,8 @@
 // bas::util::Rng so that experiments are bit-reproducible, and so that
 // scheme comparisons can use common random numbers: the actual computation
 // of (set seed, graph, instance, node) is derived by hashing those
-// coordinates rather than by consuming a shared stream (see derive()).
+// coordinates rather than by consuming a shared stream (see
+// hash_combine() and derive_seed()).
 
 #include <cstddef>
 #include <cstdint>
@@ -18,7 +19,7 @@ namespace bas::util {
 ///
 /// Fast, high-quality, 2^256-1 period. Not cryptographic; plenty for
 /// simulation. All distribution helpers are convenience wrappers that
-/// consume exactly one or two raw draws, keeping replay stable.
+/// consume exactly one raw draw, keeping replay stable.
 class Rng {
  public:
   /// Seeds the four-word state by running SplitMix64 from `seed`.
@@ -44,14 +45,6 @@ class Rng {
 
   /// Exponentially distributed draw with the given mean (> 0).
   double exponential(double mean) noexcept;
-
-  /// Normal draw (Box-Muller, consumes two uniforms every call).
-  double normal(double mean, double stddev) noexcept;
-
-  /// Derives an independent generator for a sub-stream. Mixing is by
-  /// SplitMix64 over (state fingerprint, tag), so derive(a) and derive(b)
-  /// are decorrelated for a != b and stable across runs.
-  [[nodiscard]] Rng derive(std::uint64_t tag) const noexcept;
 
   /// Stateless 64-bit mix of two values (SplitMix64 finalizer over a
   /// boost-style combine). Used to key per-(graph, instance, node) draws.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace bas::util {
 
@@ -29,67 +28,5 @@ double Accumulator::variance() const noexcept {
 }
 
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Sample::mean() const noexcept {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  double s = 0.0;
-  for (double v : values_) {
-    s += v;
-  }
-  return s / static_cast<double>(values_.size());
-}
-
-double Sample::stddev() const noexcept {
-  if (values_.size() < 2) {
-    return 0.0;
-  }
-  const double m = mean();
-  double acc = 0.0;
-  for (double v : values_) {
-    acc += (v - m) * (v - m);
-  }
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
-double Sample::min() const noexcept {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Sample::max() const noexcept {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Sample::quantile(double q) const {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double geometric_mean(const std::vector<double>& values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  double log_sum = 0.0;
-  for (double v : values) {
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
 
 }  // namespace bas::util

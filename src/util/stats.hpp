@@ -2,7 +2,6 @@
 // Small statistics toolkit used by the benchmark harnesses and tests.
 
 #include <cstddef>
-#include <vector>
 
 namespace bas::util {
 
@@ -28,29 +27,5 @@ class Accumulator {
   double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-/// Batch statistics over a stored sample (keeps values; offers quantiles).
-class Sample {
- public:
-  void add(double x) { values_.push_back(x); }
-  void reserve(std::size_t n) { values_.reserve(n); }
-
-  std::size_t count() const noexcept { return values_.size(); }
-  double mean() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  /// Linear-interpolated quantile, q in [0,1]. Empty sample yields 0.
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-
-  const std::vector<double>& values() const noexcept { return values_; }
-
- private:
-  std::vector<double> values_;
-};
-
-/// Geometric mean of a sample of positive values; 0 if empty.
-double geometric_mean(const std::vector<double>& values);
 
 }  // namespace bas::util

@@ -15,9 +15,6 @@
 #   4. compaction:      --cache-compact over the messy post-kill store
 #                       leaves the merge output untouched.
 #
-# When the binary was built without sqlite3 the sqlite runs are skipped
-# (exit 0 with a notice) so the smoke stays green on minimal toolchains.
-#
 # Usage: store_backends_smoke.sh /path/to/driver [driver flags...]
 
 set -euo pipefail
@@ -38,19 +35,7 @@ run() { "$bin" $small --seed 6 "$@" > /dev/null; }
 # Storeless reference.
 run --jobs 4 --csv "$work/fresh.csv"
 
-# Detect sqlite availability: a --store sqlite run against a throwaway
-# dir either works or fails with the "unavailable" stub message.
-backends="jsonl"
-if run --jobs 1 --cache "$work/probe" --store sqlite 2> "$work/probe.err"; then
-  backends="jsonl sqlite"
-elif grep -q "SQLite backend unavailable" "$work/probe.err"; then
-  echo "store smoke: sqlite3 not built in, exercising jsonl only" >&2
-else
-  cat "$work/probe.err" >&2
-  exit 1
-fi
-
-for backend in $backends; do
+for backend in jsonl sqlite; do
   store="--store $backend"
 
   # 1. Fresh run writing through the store equals the storeless run.
@@ -86,9 +71,7 @@ for backend in $backends; do
 done
 
 # Cross-backend: the merge outputs are the same bytes.
-if [ "$backends" = "jsonl sqlite" ]; then
-  cmp "$work/jsonl-merged.csv" "$work/sqlite-merged.csv"
-  cmp "$work/jsonl-resumed.csv" "$work/sqlite-resumed.csv"
-fi
+cmp "$work/jsonl-merged.csv" "$work/sqlite-merged.csv"
+cmp "$work/jsonl-resumed.csv" "$work/sqlite-resumed.csv"
 
-echo "store smoke: OK ($backends)"
+echo "store smoke: OK (jsonl sqlite)"

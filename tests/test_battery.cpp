@@ -47,7 +47,6 @@ TEST(LoadProfile, AccumulatesAndMerges) {
   EXPECT_DOUBLE_EQ(p.duration_s(), 4.0);
   EXPECT_DOUBLE_EQ(p.total_charge_c(), 2.5);
   EXPECT_DOUBLE_EQ(p.average_current_a(), 0.625);
-  EXPECT_DOUBLE_EQ(p.peak_current_a(), 1.0);
 }
 
 TEST(LoadProfile, DropsZeroDurationRejectsNegative) {
@@ -58,15 +57,13 @@ TEST(LoadProfile, DropsZeroDurationRejectsNegative) {
   EXPECT_THROW(p.add(1.0, -0.1), std::invalid_argument);
 }
 
-TEST(LoadProfile, MonotonicityPredicates) {
+TEST(LoadProfile, IncreaseCount) {
   bat::LoadProfile down;
   down.add(1.0, 1.0);
   down.add(1.0, 0.5);
   down.add(1.0, 0.2);
-  EXPECT_TRUE(down.is_non_increasing());
   EXPECT_EQ(down.increase_count(), 0u);
   const auto up = down.reversed();
-  EXPECT_FALSE(up.is_non_increasing());
   EXPECT_EQ(up.increase_count(), 2u);
 }
 

@@ -100,11 +100,9 @@ TEST(StoreHelpers, MalformedMetricsAreRejected) {
   }
 }
 
-TEST(StoreHelpers, BackendLabelsRoundTrip) {
+TEST(StoreHelpers, BackendFromLabel) {
   EXPECT_EQ(store::backend_from_label("jsonl"), store::Backend::kJsonl);
   EXPECT_EQ(store::backend_from_label("sqlite"), store::Backend::kSqlite);
-  EXPECT_STREQ(store::backend_label(store::Backend::kJsonl), "jsonl");
-  EXPECT_STREQ(store::backend_label(store::Backend::kSqlite), "sqlite");
   EXPECT_THROW(store::backend_from_label("parquet"), std::runtime_error);
 }
 
@@ -206,13 +204,7 @@ TEST(JsonlStore, LaterRecordOfTheOtherKindWins) {
 
 // ------------------------------------------------------ sqlite backend
 
-#define SKIP_WITHOUT_SQLITE()                                       \
-  if (!store::sqlite_available()) {                                 \
-    GTEST_SKIP() << "built without sqlite3; backend is stubbed";    \
-  }
-
 TEST(SqliteStore, RoundTripsDoublesBitwise) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-roundtrip");
   const auto metrics = awkward_metrics();
   {
@@ -231,7 +223,6 @@ TEST(SqliteStore, RoundTripsDoublesBitwise) {
 }
 
 TEST(SqliteStore, FiltersFingerprintsArityAndErrorRows) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-filter");
   auto mine = store::make_store(store::Backend::kSqlite, dir.path,
                                 0x1111ULL, "");
@@ -251,7 +242,6 @@ TEST(SqliteStore, FiltersFingerprintsArityAndErrorRows) {
 }
 
 TEST(SqliteStore, UpsertDedupesReRunJobsInPlace) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-upsert");
   auto cache = store::make_store(store::Backend::kSqlite, dir.path,
                                  0x7777ULL, "");
@@ -264,7 +254,6 @@ TEST(SqliteStore, UpsertDedupesReRunJobsInPlace) {
 }
 
 TEST(SqliteStore, ConcurrentWriterHandlesShareTheDatabase) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-shards");
   auto s0 = store::make_store(store::Backend::kSqlite, dir.path,
                               0x3333ULL, "s0of2");
@@ -276,7 +265,6 @@ TEST(SqliteStore, ConcurrentWriterHandlesShareTheDatabase) {
 }
 
 TEST(SqliteStore, CompactionPurgesStaleFingerprintsAndVacuums) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-compact");
   {
     auto live = store::make_store(store::Backend::kSqlite, dir.path,
@@ -301,16 +289,6 @@ TEST(SqliteStore, CompactionPurgesStaleFingerprintsAndVacuums) {
   auto dead = store::make_store(store::Backend::kSqlite, dir.path,
                                 0xBBBBULL, "");
   EXPECT_TRUE(dead->load(2).empty());
-}
-
-TEST(SqliteStore, UnavailableBackendFailsLoudly) {
-  if (store::sqlite_available()) {
-    GTEST_SKIP() << "sqlite3 present; the stub path is not built";
-  }
-  TempDir dir("sq-stub");
-  EXPECT_THROW(
-      store::make_store(store::Backend::kSqlite, dir.path, 0x1ULL, ""),
-      std::runtime_error);
 }
 
 // ----------------------------------------------------- jsonl compaction
@@ -605,15 +583,13 @@ TEST(AsyncWriter, DestructorDrainsRemainingRecords) {
 // ----------------------------------------------- cross-backend contract
 
 TEST(CrossBackend, ShardedMergesAreByteIdenticalAcrossBackends) {
-  SKIP_WITHOUT_SQLITE();
   const auto spec = awkward_spec();
   const std::string fresh_csv = exp::to_csv(exp::run_experiment(spec, 4));
 
-  for (const auto backend :
-       {store::Backend::kJsonl, store::Backend::kSqlite}) {
+  for (const char* label : {"jsonl", "sqlite"}) {
+    const auto backend = store::backend_from_label(label);
     for (const int shards : {1, 3}) {
-      TempDir dir(std::string("xb-") + store::backend_label(backend) + "-" +
-                  std::to_string(shards));
+      TempDir dir(std::string("xb-") + label + "-" + std::to_string(shards));
       for (int s = 0; s < shards; ++s) {
         exp::RunnerOptions options;
         options.jobs = 2;
@@ -628,13 +604,12 @@ TEST(CrossBackend, ShardedMergesAreByteIdenticalAcrossBackends) {
       merge.store_backend = backend;
       const auto merged = exp::run_experiment(spec, merge);
       EXPECT_EQ(fresh_csv, exp::to_csv(merged))
-          << store::backend_label(backend) << " x" << shards;
+          << label << " x" << shards;
     }
   }
 }
 
 TEST(CrossBackend, SqliteResumeSkipsStoredJobs) {
-  SKIP_WITHOUT_SQLITE();
   TempDir dir("sq-resume");
   auto spec = awkward_spec();
   exp::RunnerOptions first;

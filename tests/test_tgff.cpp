@@ -5,7 +5,6 @@
 
 #include <tuple>
 
-#include "taskgraph/algorithms.hpp"
 #include "tgff/generator.hpp"
 #include "tgff/workload.hpp"
 
