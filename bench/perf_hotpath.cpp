@@ -289,7 +289,7 @@ void write_direct_trace(const Cell& cell, std::uint64_t seed,
 }
 
 /// Campaign mode: the identical cells as per-rep jobs through the full
-/// exp::Runner pipeline (work-stealing pool + async store writer when
+/// exp::Runner pipeline (shared-cursor pool + async store writer when
 /// --cache is set), folded back into CellResults.
 std::vector<CellResult> run_campaign(const std::vector<Cell>& cells,
                                      int sets, std::uint64_t seed,

@@ -32,23 +32,4 @@ const util::Accumulator& ExperimentResult::at(std::size_t cell,
   return cells_.at(cell).metrics.at(metric);
 }
 
-util::Table ExperimentResult::table(int precision) const {
-  std::vector<std::string> headers;
-  for (const auto& axis : grid_.axes()) {
-    headers.push_back(axis.name);
-  }
-  for (const auto& name : metric_names_) {
-    headers.push_back(name);
-  }
-  util::Table table(std::move(headers));
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    std::vector<std::string> row = grid_.labels(c);
-    for (std::size_t m = 0; m < metric_names_.size(); ++m) {
-      row.push_back(util::Table::num(mean(c, m), precision));
-    }
-    table.add_row(std::move(row));
-  }
-  return table;
-}
-
 }  // namespace bas::exp

@@ -13,7 +13,6 @@
 #include "exp/grid.hpp"
 #include "exp/job.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace bas::exp {
 
@@ -85,10 +84,6 @@ class ExperimentResult {
   double sum(const std::vector<std::size_t>& coord, std::size_t metric) const {
     return at(coord, metric).sum();
   }
-
-  /// Default rendering: one row per cell — axis labels first, then the
-  /// mean of every metric with `precision` decimals.
-  util::Table table(int precision = 2) const;
 
   /// Mutable cell access for the Runner's aggregation pass.
   CellStats& cell(std::size_t cell) { return cells_.at(cell); }

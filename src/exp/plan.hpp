@@ -55,7 +55,6 @@ class Plan {
  public:
   explicit Plan(const ExperimentSpec& spec);
 
-  const std::vector<Job>& jobs() const noexcept { return jobs_; }
   const Job& job(std::size_t index) const { return jobs_.at(index); }
   std::size_t job_count() const noexcept { return jobs_.size(); }
   std::uint64_t fingerprint() const noexcept { return fingerprint_; }

@@ -4,12 +4,17 @@
 
 namespace bas::exp {
 
-Progress::Progress(std::string title, std::size_t total, bool enabled,
-                   double interval_s)
+namespace {
+
+/// Seconds between heartbeat lines.
+constexpr double kHeartbeatIntervalS = 0.5;
+
+}  // namespace
+
+Progress::Progress(std::string title, std::size_t total, bool enabled)
     : title_(std::move(title)),
       total_(total),
       enabled_(enabled),
-      interval_s_(interval_s),
       start_(std::chrono::steady_clock::now()),
       last_print_(start_) {}
 
@@ -29,7 +34,7 @@ void Progress::tick() {
   const auto now = std::chrono::steady_clock::now();
   const double since_print =
       std::chrono::duration<double>(now - last_print_).count();
-  if (done != total_ && since_print < interval_s_) {
+  if (done != total_ && since_print < kHeartbeatIntervalS) {
     return;
   }
   last_print_ = now;

@@ -6,11 +6,10 @@
 //
 //   <title>: 128/1024 jobs (12.5%), elapsed 42.0s, eta 294.1s
 //
-// to stderr, throttled to one line per `interval_s` (default half a
-// second, --progress-interval on the bench CLIs) plus a final line at
-// completion. A stats hook (set_stats) appends a caller-supplied suffix
-// — the runner uses it for a metrics-registry snapshot of the async
-// writer's queue depth/stall counters. stdout is untouched, so tables
+// to stderr, throttled to one line per half second plus a final line
+// at completion. A stats hook (set_stats) appends a caller-supplied
+// suffix — the runner uses it for a metrics-registry snapshot of the
+// async writer's queue depth/stall counters. stdout is untouched, so tables
 // and CSV byte-compare regardless of whether reporting is on. tick()
 // is thread-safe and, when disabled, a single atomic increment.
 
@@ -27,10 +26,7 @@ class Progress {
  public:
   /// `total` is the number of jobs this process will execute (after
   /// shard selection and cache hits). Disabled reporters never print.
-  /// `interval_s` throttles heartbeat lines (<= 0 prints every tick);
-  /// the final line always prints.
-  Progress(std::string title, std::size_t total, bool enabled,
-           double interval_s = 0.5);
+  Progress(std::string title, std::size_t total, bool enabled);
 
   /// Records one finished job; prints a throttled status line.
   void tick();
@@ -42,18 +38,13 @@ class Progress {
   /// Installs (or, with an empty function, removes) a supplier whose
   /// string is appended to each heartbeat line, e.g. the writer-queue
   /// stats. The supplier is called under the print throttle, at most
-  /// once per interval — it may take its own locks.
+  /// once per heartbeat — it may take its own locks.
   void set_stats(std::function<std::string()> stats);
-
-  std::size_t done() const noexcept {
-    return done_.load(std::memory_order_relaxed);
-  }
 
  private:
   std::string title_;
   std::size_t total_ = 0;
   bool enabled_ = false;
-  double interval_s_ = 0.5;
   std::atomic<std::size_t> done_{0};
   std::mutex print_mutex_;
   std::function<std::string()> stats_;  ///< guarded by print_mutex_

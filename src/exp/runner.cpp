@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,147 +25,9 @@ namespace {
 /// blocks producers (backpressure) rather than dropping records.
 constexpr std::size_t kWriterQueueCapacity = 1024;
 
-/// Job distribution inside one shard: the pending list is split into
-/// per-worker contiguous ranges, each claimed lock-free through its own
-/// atomic cursor; a worker that exhausts its range steals from the
-/// range with the most work left. Contiguous ranges keep a worker's
-/// claims cache-local (replicates of a cell are adjacent in job order)
-/// and spread cursor contention across workers; stealing keeps every
-/// thread busy when cell costs are uneven (overload vs idle-heavy
-/// scenarios). Determinism is untouched: stealing changes who computes
-/// a job, never what it computes — results land in job-indexed slots
-/// and are folded in job order afterwards.
-class WorkQueue {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  WorkQueue(std::size_t total, std::size_t workers)
-      : worker_count_(std::max<std::size_t>(1, workers)),
-        ranges_(std::make_unique<Range[]>(worker_count_)) {
-    const std::size_t base = total / worker_count_;
-    const std::size_t extra = total % worker_count_;
-    std::size_t begin = 0;
-    for (std::size_t w = 0; w < worker_count_; ++w) {
-      const std::size_t len = base + (w < extra ? 1 : 0);
-      ranges_[w].next.store(begin, std::memory_order_relaxed);
-      ranges_[w].end = begin + len;
-      begin += len;
-    }
-  }
-
-  /// Claims the next position in [0, total), or npos when every range
-  /// is exhausted. Each position is returned exactly once. `stole`,
-  /// when non-null, reports whether the claim came from another
-  /// worker's range — the campaign trace marks those.
-  std::size_t claim(std::size_t worker, bool* stole = nullptr) {
-    if (stole != nullptr) {
-      *stole = false;
-    }
-    if (const std::size_t k = take(worker % worker_count_); k != npos) {
-      return k;
-    }
-    if (stole != nullptr) {
-      *stole = true;
-    }
-    // Steal from the victim with the most remaining work; rescan on a
-    // lost race until everything is exhausted.
-    for (;;) {
-      std::size_t best = npos;
-      std::size_t best_left = 0;
-      for (std::size_t w = 0; w < worker_count_; ++w) {
-        const std::size_t next = ranges_[w].next.load(std::memory_order_relaxed);
-        const std::size_t left = next < ranges_[w].end ? ranges_[w].end - next : 0;
-        if (left > best_left) {
-          best_left = left;
-          best = w;
-        }
-      }
-      if (best == npos) {
-        return npos;
-      }
-      if (const std::size_t k = take(best); k != npos) {
-        return k;
-      }
-    }
-  }
-
- private:
-  /// Padded so neighbouring cursors never share a cache line.
-  struct alignas(64) Range {
-    std::atomic<std::size_t> next{0};
-    std::size_t end = 0;
-  };
-
-  std::size_t take(std::size_t w) {
-    Range& range = ranges_[w];
-    if (range.next.load(std::memory_order_relaxed) >= range.end) {
-      return npos;
-    }
-    // fetch_add may overshoot past `end` when claimants race; the
-    // cursor only grows, so an overshot claim is simply rejected and
-    // no position is handed out twice.
-    const std::size_t k = range.next.fetch_add(1, std::memory_order_relaxed);
-    return k < range.end ? k : npos;
-  }
-
-  std::size_t worker_count_;
-  std::unique_ptr<Range[]> ranges_;
-};
-
-/// Evaluates one job attempt under an optional wall-clock deadline.
-/// With no deadline this is a plain call. With one, the attempt runs on
-/// a helper thread; when the deadline passes the helper is abandoned
-/// (detached — its state is shared_ptr-owned, so it finishes or dies
-/// harmlessly in the background) and the attempt counts as failed.
-std::vector<double> run_with_deadline(
-    const std::function<std::vector<double>(const Job&)>& run, const Job& job,
-    double timeout_s) {
-  if (timeout_s <= 0.0) {
-    return run(job);
-  }
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::vector<double> metrics;
-    std::exception_ptr error;
-    std::function<std::vector<double>(const Job&)> run;
-    Job job;
-  };
-  auto state = std::make_shared<Shared>();
-  state->run = run;
-  state->job = job;
-  std::thread helper([state] {
-    std::vector<double> metrics;
-    std::exception_ptr error;
-    try {
-      metrics = state->run(state->job);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->metrics = std::move(metrics);
-    state->error = error;
-    state->done = true;
-    state->done_cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  const bool finished =
-      state->done_cv.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                              [&] { return state->done; });
-  if (!finished) {
-    lock.unlock();
-    helper.detach();
-    throw std::runtime_error("exceeded the per-job deadline of " +
-                             std::to_string(timeout_s) + "s");
-  }
-  lock.unlock();
-  helper.join();
-  if (state->error) {
-    std::rethrow_exception(state->error);
-  }
-  return std::move(state->metrics);
+/// Campaign-trace args of job `index`, plus any extra JSON members.
+std::string job_args(std::size_t index, const char* extra = "") {
+  return "{\"job\": " + std::to_string(index) + extra + "}";
 }
 
 }  // namespace
@@ -211,14 +70,6 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
         "experiment '" + spec.title + "': shard " +
         std::to_string(options_.shard->index) + "/" +
         std::to_string(options_.shard->count) + " needs 0 <= i < n");
-  }
-  if (options_.job_attempts < 1) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "': job_attempts must be >= 1");
-  }
-  if (options_.job_timeout_s < 0.0) {
-    throw std::invalid_argument("experiment '" + spec.title +
-                                "': job_timeout_s must be >= 0");
   }
 
   std::optional<store::CompactionStats> compaction;
@@ -265,7 +116,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
           std::to_string(present) + " of " + std::to_string(n_jobs) +
           " jobs in store '" + options_.cache_dir + "' (first missing: " +
           plan.describe(plan.job(first_missing)) + ")";
-      // Jobs that failed permanently under --keep-going left error rows
+      // Jobs that failed under --keep-going left error rows
       // instead of metrics; say so rather than just "missing".
       const auto errors = cache->load_errors();
       std::size_t failed = 0;
@@ -300,11 +151,10 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
 
   // ---- execute: pool over pending jobs, store + progress as we go ----
   std::vector<std::vector<double>> results(n_jobs);
-  Progress progress(spec.title, pending.size(), options_.progress,
-                    options_.progress_interval_s);
+  Progress progress(spec.title, pending.size(), options_.progress);
 
   // Campaign trace (--trace-out): per-job spans on per-worker tracks,
-  // retry/steal/fail markers, the writer's queue-depth counter. The log
+  // fail markers, the writer's queue-depth counter. The log
   // is observational only — it never feeds results or the store.
   std::optional<obs::TraceLog> trace;
   if (!options_.trace_out.empty()) {
@@ -357,119 +207,84 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   const auto pool_size =
       std::min<std::size_t>(static_cast<std::size_t>(threads), pending.size());
 
-  WorkQueue queue(pending.size(), pool_size);
+  // One shared cursor over the pending list: a worker claims the next
+  // job as soon as it finishes one, so uneven cell costs never leave a
+  // thread idle while work remains. The claim order changes who
+  // computes a job, never what it computes — results land in
+  // job-indexed slots and are folded in job order afterwards.
+  std::atomic<std::size_t> next{0};
 
-  auto work = [&](std::size_t worker) {
+  auto work = [&](int tid) {
     while (!failed.load(std::memory_order_relaxed)) {
-      bool stole = false;
-      const std::size_t k = queue.claim(worker, &stole);
-      if (k == WorkQueue::npos) {
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= pending.size()) {
         return;
       }
       const Job& job = plan.job(pending[k]);
-      const int tid = static_cast<int>(worker);
-      if (tlog != nullptr && stole) {
-        tlog->instant("steal", obs::kCampaignPid, tid,
-                      tlog->now_us(),
-                      "{\"job\": " + std::to_string(job.index) + "}");
-      }
       const double job_t0 = tlog != nullptr ? tlog->now_us() : 0.0;
-      const int attempts = options_.job_attempts;
-      for (int attempt = 1; attempt <= attempts; ++attempt) {
-        std::string what;
+      std::string what;
+      try {
+        auto metrics = spec.run(job);
+        if (metrics.size() != spec.metrics.size()) {
+          throw std::runtime_error(
+              "returned " + std::to_string(metrics.size()) +
+              " metrics, expected " + std::to_string(spec.metrics.size()));
+        }
+        if (writer) {
+          store::StoreRecord record;
+          record.job_index = job.index;
+          record.metrics = metrics;
+          writer->enqueue(std::move(record));
+        }
+        results[job.index] = std::move(metrics);
+        if (tlog != nullptr) {
+          tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
+                     tlog->now_us() - job_t0, job_args(job.index));
+        }
+        progress.tick();
+        continue;
+      } catch (const std::exception& e) {
+        what = e.what();
+      } catch (...) {
+        what = "non-standard exception";
+      }
+      // The job failed: record it and carry on (keep_going) or abort.
+      if (options_.keep_going) {
+        const std::string described = plan.describe(job) + ": " + what;
         try {
-          auto metrics =
-              run_with_deadline(spec.run, job, options_.job_timeout_s);
-          if (metrics.size() != spec.metrics.size()) {
-            throw std::runtime_error(
-                "returned " + std::to_string(metrics.size()) +
-                " metrics, expected " + std::to_string(spec.metrics.size()));
-          }
           if (writer) {
             store::StoreRecord record;
             record.job_index = job.index;
-            record.metrics = metrics;
+            record.error = described;
             writer->enqueue(std::move(record));
           }
-          results[job.index] = std::move(metrics);
+          failed_jobs.fetch_add(1, std::memory_order_relaxed);
+          {
+            std::lock_guard<std::mutex> lock(error_mutex);
+            if (first_failure.empty()) {
+              first_failure = described;
+            }
+          }
           if (tlog != nullptr) {
             const double now = tlog->now_us();
+            tlog->instant("fail", obs::kCampaignPid, tid, now,
+                          job_args(job.index));
             tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
-                       now - job_t0,
-                       "{\"job\": " + std::to_string(job.index) +
-                           ", \"attempt\": " + std::to_string(attempt) + "}");
+                       now - job_t0, job_args(job.index, ", \"failed\": true"));
           }
           progress.tick();
-          break;
-        } catch (const std::exception& e) {
-          what = e.what();
-        } catch (...) {
-          what = "non-standard exception";
-        }
-        if (attempt < attempts) {
-          if (tlog != nullptr) {
-            tlog->instant("retry", obs::kCampaignPid, tid, tlog->now_us(),
-                          "{\"job\": " + std::to_string(job.index) +
-                              ", \"attempt\": " + std::to_string(attempt) +
-                              "}");
-          }
-          // Exponential backoff before the retry: transient failures
-          // (I/O hiccups, load-induced deadline misses) get room to
-          // clear without hammering.
-          const double backoff =
-              options_.retry_backoff_s * static_cast<double>(1 << (attempt - 1));
-          if (backoff > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-          }
           continue;
+        } catch (const std::exception& e) {
+          // The store itself failed — that is fatal even under
+          // keep_going; fall through to the abort path.
+          what = e.what();
         }
-        // Attempts exhausted: record the failure and either carry on
-        // (keep_going) or abort the run.
-        const std::string described =
-            plan.describe(job) + ": " + what +
-            (attempts > 1 ? " (after " + std::to_string(attempts) +
-                                " attempts)"
-                          : "");
-        if (options_.keep_going) {
-          try {
-            if (writer) {
-              store::StoreRecord record;
-              record.job_index = job.index;
-              record.error = described;
-              writer->enqueue(std::move(record));
-            }
-            failed_jobs.fetch_add(1, std::memory_order_relaxed);
-            {
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (first_failure.empty()) {
-                first_failure = described;
-              }
-            }
-            if (tlog != nullptr) {
-              const double now = tlog->now_us();
-              tlog->instant("fail", obs::kCampaignPid, tid, now,
-                            "{\"job\": " + std::to_string(job.index) + "}");
-              tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
-                         now - job_t0,
-                         "{\"job\": " + std::to_string(job.index) +
-                             ", \"failed\": true}");
-            }
-            progress.tick();
-            break;
-          } catch (const std::exception& e) {
-            // The store itself failed — that is fatal even under
-            // keep_going; fall through to the abort path.
-            what = e.what();
-          }
-        }
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!failed.exchange(true)) {
-          first_error = options_.keep_going
-                            ? plan.describe(job) + ": " + what
-                            : described;
-        }
-        return;
       }
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!failed.exchange(true)) {
+        first_error = plan.describe(job) + ": " + what;
+      }
+      return;
     }
   };
 
@@ -479,7 +294,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
     std::vector<std::thread> pool;
     pool.reserve(pool_size);
     for (std::size_t t = 0; t < pool_size; ++t) {
-      pool.emplace_back(work, t);
+      pool.emplace_back(work, static_cast<int>(t));
     }
     for (auto& thread : pool) {
       thread.join();
@@ -526,7 +341,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   }
   if (const std::size_t n_failed = failed_jobs.load(); n_failed > 0) {
     progress.note(std::to_string(n_failed) +
-                  " job(s) failed permanently (first: " + first_failure +
+                  " job(s) failed (first: " + first_failure +
                   "); their cells aggregate the surviving replicates and "
                   "the failures are recorded as error rows");
   }
@@ -581,18 +396,7 @@ RunnerOptions options_from_cli(const util::Cli& cli) {
   options.merge_only = cli.get_flag("merge");
   options.compact_cache = cli.get_flag("cache-compact");
   options.progress = cli.get_flag("progress");
-  if (cli.has("job-timeout")) {
-    options.job_timeout_s = cli.get_double("job-timeout");
-  }
-  if (cli.has("job-attempts")) {
-    options.job_attempts = static_cast<int>(cli.get_int("job-attempts"));
-  }
-  if (cli.has("keep-going")) {
-    options.keep_going = cli.get_flag("keep-going");
-  }
-  if (cli.has("progress-interval")) {
-    options.progress_interval_s = cli.get_double("progress-interval");
-  }
+  options.keep_going = cli.get_flag("keep-going");
   options.trace_out = cli.get("trace-out");
   // Runner::run owns the merge/store/shard consistency rules.
   return options;

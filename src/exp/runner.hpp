@@ -6,9 +6,10 @@
 //           campaign store.
 //  execute  The worker pool runs only the jobs selected by the optional
 //           shard partition and not already present in the campaign
-//           store (store/store.hpp). Jobs are claimed from per-worker
-//           ranges with work stealing, so uneven cell costs never leave
-//           a thread idle; finished metrics are handed to an async
+//           store (store/store.hpp). Each worker claims the next
+//           pending job from one shared atomic cursor, so uneven cell
+//           costs never leave a thread idle while work remains, and
+//           runs it once; finished metrics are handed to an async
 //           writer (store/async_writer.hpp) whose consumer thread
 //           batches them into the backend — workers never pay a
 //           write+flush. A Progress reporter (progress.hpp) heartbeats
@@ -25,19 +26,20 @@
 //  1. Determinism for any thread count, shard split, store backend or
 //     resume history. Job seeds are pure functions of grid coordinates
 //     (job.hpp), each job's metrics land in a slot indexed by job id,
-//     and the fold happens after the pool drains, in job order — work
-//     stealing changes who computes a job, never what it computes or
+//     and the fold happens after the pool drains, in job order — the
+//     claim order changes who computes a job, never what it computes or
 //     where it lands.
 //  2. Isolation. The spec's run function receives only the Job; it is
 //     expected to build its own Scheme / Battery / TaskGraphSet, so no
 //     mutable state is shared between workers.
 //
-// Robustness: a per-job deadline (job_timeout_s) and bounded retries
-// with exponential backoff (job_attempts) guard long campaigns against
-// hung or flaky cells; with keep_going, a job that still fails is
-// recorded in the store as an error row and the shard carries on —
-// resumed runs re-execute failed jobs rather than trusting the
-// failure.
+// Failures: a job is a deterministic function of its seeds, so it runs
+// exactly once — rerunning it would recompute the same failure. Without
+// keep_going the first failing job aborts the run; with it, the failure
+// is recorded in the store as an error row and the shard carries on —
+// resumed runs re-execute failed jobs rather than trusting the failure.
+// A runaway campaign is bounded from outside (`timeout` plus --cache):
+// a killed run resumes exactly.
 //
 // Cluster fan-out: run shard i with `{.shard = Shard{i, n},
 // .cache_dir = DIR}` on n machines sharing DIR (or copy the shard files
@@ -88,27 +90,16 @@ struct RunnerOptions {
   /// Report jobs-done/total, ETA and writer-queue stats to stderr
   /// while executing.
   bool progress = false;
-  /// Seconds between progress heartbeat lines (--progress-interval);
-  /// <= 0 prints on every finished job.
-  double progress_interval_s = 0.5;
   /// When non-empty, record a whole-campaign Chrome trace (per-job
-  /// spans on per-worker tracks, retry/steal/fail markers, the async
-  /// writer's queue-depth counter) and write it to this path after the
-  /// pool drains — load it in Perfetto / chrome://tracing. Purely
+  /// spans on per-worker tracks, fail markers, the async writer's
+  /// queue-depth counter) and write it to this path after the pool
+  /// drains — load it in Perfetto / chrome://tracing. Purely
   /// observational: results and stored rows are byte-identical with or
   /// without it.
   std::string trace_out;
-  /// Per-job wall-clock deadline in seconds; 0 disables. A job past
-  /// its deadline counts as a failed attempt (the runner stops waiting
-  /// for it; the abandoned attempt finishes on a detached thread).
-  double job_timeout_s = 0.0;
-  /// Attempts per job (>= 1). Failed attempts retry with exponential
-  /// backoff starting at retry_backoff_s.
-  int job_attempts = 1;
-  double retry_backoff_s = 0.05;
-  /// When a job exhausts its attempts: record an error row in the
-  /// store and carry on (true) instead of aborting the run (false).
-  /// Cells with failed jobs aggregate the replicates that succeeded.
+  /// When a job fails: record an error row in the store and carry on
+  /// (true) instead of aborting the run (false). Cells with failed
+  /// jobs aggregate the replicates that succeeded.
   bool keep_going = false;
 };
 
@@ -119,8 +110,8 @@ class Runner {
   /// Runs the spec's campaign. Throws std::invalid_argument on a
   /// malformed spec (no run function, no metrics, replicates < 1) or an
   /// inconsistent option set (merge without a store, merge with a
-  /// shard, job_attempts < 1), and std::runtime_error when a job fails
-  /// permanently without keep_going or the store cannot be written —
+  /// shard), and std::runtime_error when a job fails without
+  /// keep_going or the store cannot be written —
   /// the message names the failing job's grid coordinates and
   /// replicate; remaining jobs are abandoned.
   ExperimentResult run(const ExperimentSpec& spec) const;
@@ -137,8 +128,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const RunnerOptions& options);
 
 /// Builds RunnerOptions from the shared bench flags (--jobs, --shard,
-/// --cache, --store, --cache-compact, --merge, --progress,
-/// --progress-interval, --trace-out, --job-timeout, --job-attempts,
+/// --cache, --store, --cache-compact, --merge, --progress, --trace-out,
 /// --keep-going; see util::Cli::with_bench_defaults).
 /// Throws std::runtime_error on a malformed --shard or --store;
 /// cross-option consistency (--merge needs --cache, ...) is enforced

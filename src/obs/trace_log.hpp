@@ -11,9 +11,9 @@
 //                    builds — per-step phase spans (wall-clock
 //                    timeline, pid kProfilerPid)
 //   whole campaign   the runner emits per-job spans (tid = worker),
-//                    retry/steal/fail markers, and the async store
-//                    writer samples its queue depth as a counter track
-//                    (wall-clock timeline, pid kCampaignPid)
+//                    fail markers, and the async store writer samples
+//                    its queue depth as a counter track (wall-clock
+//                    timeline, pid kCampaignPid)
 //
 // The log is instrumentation only: it is attached through non-owning
 // pointers (SimConfig::trace_log, RunnerOptions::trace_out), never

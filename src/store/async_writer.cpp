@@ -61,8 +61,6 @@ void AsyncWriter::drain() {
   if (failed_) {
     throw std::runtime_error("campaign store writer failed: " + error_);
   }
-  lock.unlock();
-  store_.flush();
 }
 
 WriterStats AsyncWriter::stats() const {

@@ -76,7 +76,7 @@ class AsyncWriter {
   void enqueue(StoreRecord record);
 
   /// Blocks until every enqueued record is committed to the backend
-  /// and flush()ed; rethrows a parked consumer error.
+  /// (append() is durable per batch); rethrows a parked consumer error.
   void drain();
 
   WriterStats stats() const;

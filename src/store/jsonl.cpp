@@ -272,13 +272,6 @@ void JsonlStore::append(const std::vector<StoreRecord>& batch) {
   }
 }
 
-void JsonlStore::flush() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (out_.is_open()) {
-    out_.flush();
-  }
-}
-
 CompactionStats compact_jsonl(const std::string& dir,
                               std::uint64_t fingerprint,
                               std::size_t metric_count) {

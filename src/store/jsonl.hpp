@@ -37,7 +37,6 @@ class JsonlStore final : public CampaignStore {
       std::size_t metric_count) override;
   std::map<std::size_t, std::string> load_errors() override;
   void append(const std::vector<StoreRecord>& batch) override;
-  void flush() override;
   const std::string& describe() const noexcept override {
     return write_path_;
   }

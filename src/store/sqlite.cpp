@@ -200,10 +200,6 @@ void SqliteStore::append(const std::vector<StoreRecord>& batch) {
   exec(impl_->db, "COMMIT");
 }
 
-void SqliteStore::flush() {
-  // Batches commit in append(); nothing is buffered in this layer.
-}
-
 void SqliteStore::annotate(const std::string& title,
                            const std::vector<std::string>& metric_names) {
   const std::string fp_hex = exp::fingerprint_hex(fingerprint_);

@@ -36,7 +36,6 @@ class SqliteStore final : public CampaignStore {
       std::size_t metric_count) override;
   std::map<std::size_t, std::string> load_errors() override;
   void append(const std::vector<StoreRecord>& batch) override;
-  void flush() override;
   const std::string& describe() const noexcept override { return db_path_; }
   void annotate(const std::string& title,
                 const std::vector<std::string>& metric_names) override;

@@ -92,11 +92,6 @@ class CampaignStore {
   /// loses none of the batch. Throws std::runtime_error on I/O errors.
   virtual void append(const std::vector<StoreRecord>& batch) = 0;
 
-  /// Flushes anything buffered. append() is already durable per batch,
-  /// so this is a no-op for both shipped backends, but the interface
-  /// keeps the contract explicit for future buffering backends.
-  virtual void flush() = 0;
-
   /// Human-readable location ("DIR/<fp>.jsonl", "DIR/campaign.sqlite")
   /// for notes and error messages.
   virtual const std::string& describe() const noexcept = 0;
@@ -140,8 +135,7 @@ std::string format_metrics(const std::vector<double>& metrics);
 bool parse_metrics(const char* text, std::vector<double>* metrics);
 
 /// Registers a `<dir>/<stem>.pid<PID>.live` marker on construction and
-/// removes it on destruction. Used by both backends; exposed so tests
-/// can fabricate live/dead writers.
+/// removes it on destruction. Used by both backends.
 class WriterMarker {
  public:
   /// Throws std::runtime_error when the marker cannot be created.
@@ -150,8 +144,6 @@ class WriterMarker {
 
   WriterMarker(const WriterMarker&) = delete;
   WriterMarker& operator=(const WriterMarker&) = delete;
-
-  const std::string& path() const noexcept { return path_; }
 
  private:
   std::string path_;

@@ -116,10 +116,7 @@ std::map<std::string, std::string> Cli::with_bench_defaults(
   defaults.emplace("cache-compact", "false");
   defaults.emplace("merge", "false");
   defaults.emplace("progress", "false");
-  defaults.emplace("progress-interval", "0.5");
   defaults.emplace("trace-out", "");
-  defaults.emplace("job-timeout", "0");
-  defaults.emplace("job-attempts", "1");
   defaults.emplace("keep-going", "false");
   return defaults;
 }
@@ -188,17 +185,13 @@ std::string Cli::summary() const {
 }
 
 std::string Cli::config_summary() const {
-  // --store, --job-timeout, --job-attempts and --keep-going are engine
-  // flags too: they change how jobs execute and persist, never what a
-  // job computes, so switching backend or adding retries must not
-  // invalidate a store full of results.
   // Flags that steer execution, reporting or storage without changing
-  // any job's output — excluded from the cache-keying summary.
+  // any job's output — excluded from the cache-keying summary, so
+  // switching backend or thread count never invalidates a store full
+  // of results.
   static const char* const kEngineFlags[] = {
-      "jobs",        "csv",          "shard",        "cache",
-      "store",       "cache-compact", "merge",       "progress",
-      "progress-interval",            "trace-out",
-      "job-timeout", "job-attempts", "keep-going",   "list-scenarios"};
+      "jobs", "csv", "shard", "cache", "store", "cache-compact",
+      "merge", "progress", "trace-out", "keep-going", "list-scenarios"};
   std::ostringstream out;
   bool first = true;
   for (const auto& [key, value] : values_) {

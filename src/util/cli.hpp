@@ -48,20 +48,13 @@ class Cli {
   ///                (combines shard outputs; requires --cache)
   ///   --progress   report jobs-done/total, ETA and writer-queue stats
   ///                to stderr
-  ///   --progress-interval S
-  ///                seconds between progress heartbeat lines (default
-  ///                0.5; <= 0 prints on every finished job)
   ///   --trace-out PATH
   ///                write a Chrome-trace-event JSON of the campaign
-  ///                (per-job spans per worker, retry/steal markers,
-  ///                writer queue depth) — load in Perfetto or
-  ///                chrome://tracing; purely observational
-  ///   --job-timeout S
-  ///                per-job wall-clock deadline in seconds (0 = off)
-  ///   --job-attempts N
-  ///                attempts per job before it counts as failed
-  ///   --keep-going record permanently failed jobs as error rows and
-  ///                finish the shard instead of aborting
+  ///                (per-job spans per worker, fail markers, writer
+  ///                queue depth) — load in Perfetto or chrome://tracing;
+  ///                purely observational
+  ///   --keep-going record failed jobs as error rows and finish the
+  ///                shard instead of aborting
   static std::map<std::string, std::string> with_bench_defaults(
       std::map<std::string, std::string> defaults);
 
@@ -86,9 +79,8 @@ class Cli {
   std::string summary() const;
 
   /// summary() minus the engine/campaign flags (--jobs, --csv, --shard,
-  /// --cache, --store, --merge, --progress, --progress-interval,
-  /// --trace-out, --job-timeout,
-  /// --job-attempts, --keep-going, --list-scenarios) and minus options
+  /// --cache, --store, --cache-compact, --merge, --progress,
+  /// --trace-out, --keep-going, --list-scenarios) and minus options
   /// whose value is empty (unset optional settings, e.g. unused
   /// --scenario.FIELD overrides) — exactly the options that can alter
   /// job outputs. Feed it to ExperimentSpec::config so the campaign

@@ -6,8 +6,9 @@
 # uncaught exception and an abort, and not a silent run with a default
 # value. The cases are:
 #
-#   - an unknown option (the removed simulator-engine selector, which
-#     old sweep scripts may still pass);
+#   - an unknown option: the removed simulator-engine selector and the
+#     removed per-job deadline, retry and heartbeat-interval flags,
+#     which old sweep scripts may still pass;
 #   - a stray positional argument;
 #   - malformed numbers: a non-number, trailing garbage, and a negative
 #     value for an unsigned option;
@@ -49,6 +50,9 @@ expect_error() {
 }
 
 expect_error 'unknown option --scenario.engine ' --scenario.engine=tick
+expect_error 'unknown option --job-timeout ' --job-timeout 5
+expect_error 'unknown option --job-attempts ' --job-attempts 2
+expect_error 'unknown option --progress-interval ' --progress-interval 0
 expect_error "unexpected argument '100'" 100
 expect_error "option --sets expects an integer, got 'abc'" --sets abc
 expect_error "option --sets expects an integer, got '1x'" --sets 1x

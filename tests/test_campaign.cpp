@@ -1,8 +1,8 @@
 // Tests for the campaign layer: plan/fingerprint, shard partition,
-// store-backed resume, merge collection, job timeout/retry/keep-going
-// robustness, work-stealing determinism and the coordinate-bearing
-// runner error reports. The store subsystem itself (backends, async
-// writer, compaction) is covered by test_store.cpp.
+// store-backed resume, merge collection, keep-going error rows,
+// shared-cursor determinism and the coordinate-bearing runner error
+// reports. The store subsystem itself (backends, async writer,
+// compaction) is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -332,12 +331,12 @@ TEST(Campaign, ShardRunAloneYieldsPartialCells) {
   EXPECT_EQ(samples, (spec.job_count() + 1) / 2);
 }
 
-// -------------------------------------------- work-stealing execution
+// ---------------------------------------------- shared-cursor execution
 
 TEST(Campaign, UnevenCellCostsFoldBitIdenticalAcrossThreadCounts) {
-  // Strongly skewed per-cell cost exercises the stealing path: the
-  // worker owning the expensive range loses its remaining jobs to idle
-  // threads. The fold must not care.
+  // Strongly skewed per-cell cost scrambles which worker claims which
+  // job from the shared cursor: the threads stuck on expensive cells
+  // claim fewer jobs than the idle ones. The fold must not care.
   auto spec = awkward_spec();
   const auto inner = spec.run;
   spec.run = [inner](const exp::Job& job) {
@@ -352,7 +351,7 @@ TEST(Campaign, UnevenCellCostsFoldBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Campaign, EveryJobExecutesExactlyOnceUnderStealing) {
+TEST(Campaign, EveryJobExecutesExactlyOnce) {
   auto spec = awkward_spec();
   std::vector<std::atomic<int>> executions(spec.job_count());
   const auto inner = spec.run;
@@ -366,78 +365,7 @@ TEST(Campaign, EveryJobExecutesExactlyOnceUnderStealing) {
   }
 }
 
-// ------------------------------------- timeout, retry and keep-going
-
-TEST(Campaign, FlakyJobSucceedsWithinItsRetryBudget) {
-  auto spec = awkward_spec();
-  std::atomic<int> failures{0};
-  const auto inner = spec.run;
-  spec.run = [&failures, inner](const exp::Job& job) {
-    // Job 5 fails twice before succeeding.
-    if (job.index == 5 && failures.load() < 2) {
-      failures.fetch_add(1);
-      throw std::runtime_error("transient");
-    }
-    return inner(job);
-  };
-  exp::RunnerOptions options;
-  options.jobs = 2;
-  options.job_attempts = 3;
-  options.retry_backoff_s = 0.001;
-  const auto retried = exp::run_experiment(spec, options);
-  EXPECT_EQ(failures.load(), 2);
-  expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), retried);
-}
-
-TEST(Campaign, ExhaustedRetriesReportTheAttemptCount) {
-  auto spec = awkward_spec();
-  spec.run = [](const exp::Job& job) -> std::vector<double> {
-    if (job.index == 3) {
-      throw std::runtime_error("permanent");
-    }
-    return {0.0, 0.0};
-  };
-  exp::RunnerOptions options;
-  options.job_attempts = 2;
-  options.retry_backoff_s = 0.001;
-  try {
-    exp::run_experiment(spec, options);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("job 3"), std::string::npos) << message;
-    EXPECT_NE(message.find("permanent"), std::string::npos) << message;
-    EXPECT_NE(message.find("2 attempts"), std::string::npos) << message;
-  }
-}
-
-TEST(Campaign, TimedOutJobFailsWithADeadlineError) {
-  auto spec = awkward_spec();
-  auto release = std::make_shared<std::atomic<bool>>(false);
-  const auto inner = spec.run;
-  spec.run = [release, inner](const exp::Job& job) {
-    if (job.index == 2) {
-      while (!release->load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    return inner(job);
-  };
-  exp::RunnerOptions options;
-  options.job_timeout_s = 0.05;
-  try {
-    exp::run_experiment(spec, options);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("job 2"), std::string::npos) << message;
-    EXPECT_NE(message.find("deadline"), std::string::npos) << message;
-  }
-  // Let the abandoned attempt's detached thread finish before the test
-  // (and its spec) go away.
-  release->store(true);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-}
+// ---------------------------------------------------------- keep-going
 
 TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
   TempDir dir("keep-going");
@@ -499,17 +427,6 @@ TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
   expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), resumed);
 }
 
-TEST(Campaign, InvalidRobustnessOptionsAreRejected) {
-  exp::RunnerOptions options;
-  options.job_attempts = 0;
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
-               std::invalid_argument);
-  options = {};
-  options.job_timeout_s = -1.0;
-  EXPECT_THROW(exp::run_experiment(awkward_spec(), options),
-               std::invalid_argument);
-}
-
 // ----------------------------------------------------- error reporting
 
 TEST(Campaign, ErrorsCarryGridCoordinatesAndReplicate) {
@@ -553,13 +470,11 @@ TEST(Campaign, ArityErrorsCarryCoordinatesToo) {
 // ------------------------------------------------------ CLI threading
 
 TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
-  const char* argv[] = {"bench",        "--jobs",   "3",
-                        "--shard",      "1/4",      "--cache",
-                        "/tmp/c",       "--progress", "--cache-compact",
-                        "--store",      "sqlite",   "--job-timeout",
-                        "2.5",          "--job-attempts", "3",
-                        "--keep-going"};
-  util::Cli cli(16, argv, util::Cli::with_bench_defaults({}));
+  const char* argv[] = {"bench",   "--jobs",       "3",
+                        "--shard", "1/4",          "--cache",
+                        "/tmp/c",  "--progress",   "--cache-compact",
+                        "--store", "sqlite",       "--keep-going"};
+  util::Cli cli(12, argv, util::Cli::with_bench_defaults({}));
   const auto options = exp::options_from_cli(cli);
   EXPECT_EQ(options.jobs, 3);
   ASSERT_TRUE(options.shard.has_value());
@@ -570,8 +485,6 @@ TEST(Campaign, OptionsFromCliParseTheCampaignFlags) {
   EXPECT_FALSE(options.merge_only);
   EXPECT_TRUE(options.compact_cache);
   EXPECT_TRUE(options.progress);
-  EXPECT_DOUBLE_EQ(options.job_timeout_s, 2.5);
-  EXPECT_EQ(options.job_attempts, 3);
   EXPECT_TRUE(options.keep_going);
 }
 
@@ -585,8 +498,6 @@ TEST(Campaign, OptionsFromCliDefaultsAreInert) {
   EXPECT_FALSE(options.merge_only);
   EXPECT_FALSE(options.compact_cache);
   EXPECT_FALSE(options.progress);
-  EXPECT_DOUBLE_EQ(options.job_timeout_s, 0.0);
-  EXPECT_EQ(options.job_attempts, 1);
   EXPECT_FALSE(options.keep_going);
 }
 
@@ -622,20 +533,19 @@ TEST(Campaign, ConfigEntersTheFingerprint) {
 }
 
 TEST(Campaign, ConfigSummaryExcludesEngineFlags) {
-  const char* argv_a[] = {"bench",      "--battery",     "kibam",
-                          "--jobs",     "7",             "--shard",
-                          "0/2",        "--cache",       "dir",
+  const char* argv_a[] = {"bench",      "--battery",       "kibam",
+                          "--jobs",     "7",               "--shard",
+                          "0/2",        "--cache",         "dir",
                           "--progress", "--cache-compact", "--store",
-                          "sqlite",     "--job-timeout", "3",
-                          "--job-attempts", "2",         "--keep-going"};
-  util::Cli a(18, argv_a,
+                          "sqlite",     "--keep-going"};
+  util::Cli a(14, argv_a,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   const char* argv_b[] = {"bench", "--battery", "kibam"};
   util::Cli b(3, argv_b,
               util::Cli::with_bench_defaults({{"battery", "kibam"}}));
   // Campaign/engine flags must not perturb the sweep identity — a
-  // store full of results stays valid when the backend or the retry
-  // policy changes...
+  // store full of results stays valid when the backend or the thread
+  // count changes...
   EXPECT_EQ(a.config_summary(), b.config_summary());
   // ...but driver parameters must.
   const char* argv_c[] = {"bench", "--battery", "peukert"};

@@ -499,7 +499,6 @@ class FakeStore final : public store::CampaignStore {
       records.push_back(record.job_index);
     }
   }
-  void flush() override { ++flushes; }
   const std::string& describe() const noexcept override { return name; }
 
   std::string name = "fake";
@@ -508,7 +507,6 @@ class FakeStore final : public store::CampaignStore {
   std::atomic<bool> entered{false};
   std::vector<std::size_t> batches;  ///< per-append batch sizes
   std::vector<std::size_t> records;  ///< job indices in commit order
-  int flushes = 0;
 };
 
 TEST(AsyncWriter, BackpressureBlocksProducersWithoutDropping) {
@@ -531,7 +529,6 @@ TEST(AsyncWriter, BackpressureBlocksProducersWithoutDropping) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(fake.records[i], i);
   }
-  EXPECT_GE(fake.flushes, 1);  // drain() flushed the backend
 }
 
 TEST(AsyncWriter, CoalescesQueuedRecordsIntoOneBatch) {

@@ -30,7 +30,7 @@ flags="--sets 1 --jobs 2"
 #    its results.
 "$table2" $flags --csv "$work/plain.csv" > /dev/null
 "$table2" $flags --csv "$work/traced.csv" \
-    --trace-out "$work/campaign.json" --progress-interval 0 > /dev/null
+    --trace-out "$work/campaign.json" > /dev/null
 cmp "$work/plain.csv" "$work/traced.csv"
 echo "trace smoke (campaign byte-identity): OK"
 
