@@ -23,16 +23,36 @@ namespace bas::util {
 class Rng {
  public:
   /// Seeds the four-word state by running SplitMix64 from `seed`.
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept;
+  explicit Rng(std::uint64_t seed = kGamma) noexcept {
+    for (auto& word : s_) {
+      seed += kGamma;
+      word = finalize(seed);
+    }
+  }
 
   /// Next raw 64-bit draw.
-  std::uint64_t next_u64() noexcept;
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of entropy.
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // Top 53 bits -> double in [0,1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi (returns lo when equal).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in the inclusive range [lo, hi]. Requires lo <= hi.
   int uniform_int(int lo, int hi) noexcept;
@@ -41,19 +61,46 @@ class Rng {
   std::size_t index(std::size_t n) noexcept;
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) {
+      next_u64();  // keep the stream position deterministic
+      return false;
+    }
+    if (p >= 1.0) {
+      next_u64();
+      return true;
+    }
+    return uniform() < p;
+  }
 
   /// Exponentially distributed draw with the given mean (> 0).
   double exponential(double mean) noexcept;
 
   /// Stateless 64-bit mix of two values (SplitMix64 finalizer over a
   /// boost-style combine). Used to key per-(graph, instance, node) draws.
-  static std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept;
+  static std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) noexcept {
+    return mix(a ^ (b + kGamma + (a << 6) + (a >> 2)));
+  }
 
   /// Stateless SplitMix64 finalizer.
-  static std::uint64_t mix(std::uint64_t x) noexcept;
+  static std::uint64_t mix(std::uint64_t x) noexcept {
+    return finalize(x + kGamma);
+  }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+  /// SplitMix64's output function (the part after the gamma increment).
+  static constexpr std::uint64_t finalize(std::uint64_t z) noexcept {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

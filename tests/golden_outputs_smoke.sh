@@ -23,6 +23,14 @@
 # + merge campaign path, so shard/merge byte-identity is covered per
 # window as well.
 #
+#   rate_capacity.csv — rate_capacity_curve's constant-load sweep. It
+#                  drives every battery kernel (ideal, Peukert, KiBaM,
+#                  diffusion, stochastic) through the per-slice
+#                  Battery::draw path with no simulator in between, so
+#                  it pins the kernels' own arithmetic and the
+#                  stochastic cell's RNG stream. It does not depend on
+#                  the merge window.
+#
 # If a future change moves the default-window bytes ON PURPOSE (a
 # genuine semantic change, not a perf transformation), regenerate with
 # the commands below and say so in the PR. The *_tick.csv goldens
@@ -32,14 +40,17 @@
 #   arrival_stress --sets 1 --scenario.horizon 600 --jobs 2 \
 #       --csv tests/golden/arrival_stress_smoke.csv
 #   (append --scenario.battery-window=0 for the *_tick.csv variants)
+#   rate_capacity_curve --jobs 2 --csv tests/golden/rate_capacity.csv
 #
-# Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress golden_dir
+# Usage: golden_outputs_smoke.sh /path/to/table2 /path/to/arrival_stress \
+#            /path/to/rate_capacity_curve golden_dir
 
 set -euo pipefail
 
 table2="$1"
 arrival="$2"
-golden="$3"
+rate_capacity="$3"
+golden="$4"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
@@ -71,3 +82,8 @@ for window in default 0; do
 
   echo "golden outputs (window $window): OK"
 done
+
+# 3. Per-slice battery kernels, no simulator.
+"$rate_capacity" --jobs 2 --csv "$work/rate_capacity.csv" > /dev/null
+cmp "$golden/rate_capacity.csv" "$work/rate_capacity.csv"
+echo "golden outputs (battery kernels): OK"

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "battery/peukert.hpp"
 #include "battery/profile.hpp"
 #include "battery/stochastic.hpp"
+#include "util/rng.hpp"
 
 namespace bas {
 namespace {
@@ -446,6 +448,141 @@ TEST(Stochastic, RejectsBadParams) {
   p = bat::StochasticParams{};
   p.quantum_c = -1.0;
   EXPECT_THROW(bat::StochasticBattery{p}, std::invalid_argument);
+}
+
+/// The slot loop as it stood before it was restructured for speed
+/// (locals instead of members, floor only under quanta >= 1, inline
+/// Rng), copied verbatim apart from the branch counters. The production
+/// kernel must reproduce this arithmetic and RNG stream to the last bit.
+struct ReferenceStochastic {
+  bat::StochasticParams params_;
+  util::Rng rng_;
+  double flow_coeff_ = 0.0;
+  double one_minus_c_ = 0.0;
+  double y1_ = 0.0;
+  double y2_ = 0.0;
+  bool dead_ = false;
+  // Branch counters.
+  long forward = 0;
+  long reverse = 0;
+  long whole_quanta = 0;  // quanta >= 1: floor() is non-zero
+  long bernoulli_hits = 0;
+  long deaths = 0;
+
+  explicit ReferenceStochastic(bat::StochasticParams params)
+      : params_(params), rng_(params.seed) {
+    const double c = params_.kinetics.c_fraction;
+    one_minus_c_ = 1.0 - c;
+    flow_coeff_ = params_.kinetics.k_rate * c * (1.0 - c);
+    y1_ = params_.kinetics.c_fraction * params_.kinetics.capacity_c;
+    y2_ = (1.0 - params_.kinetics.c_fraction) * params_.kinetics.capacity_c;
+  }
+
+  double step_slot(double current_a, double dt) {
+    const double c = params_.kinetics.c_fraction;
+    const double h1 = y1_ / c;
+    const double h2 = y2_ / one_minus_c_;
+    const double expected_transfer_c = flow_coeff_ * (h2 - h1) * dt;
+    double transfer_c = 0.0;
+    if (expected_transfer_c > 0.0) {
+      ++forward;
+      const double quanta = expected_transfer_c / params_.quantum_c;
+      double whole = std::floor(quanta);
+      whole_quanta += whole > 0.0;
+      if (rng_.bernoulli(quanta - whole)) {
+        ++bernoulli_hits;
+        whole += 1.0;
+      }
+      transfer_c = std::min(whole * params_.quantum_c, y2_);
+    } else if (expected_transfer_c < 0.0) {
+      ++reverse;
+      const double quanta = -expected_transfer_c / params_.quantum_c;
+      double whole = std::floor(quanta);
+      whole_quanta += whole > 0.0;
+      if (rng_.bernoulli(quanta - whole)) {
+        ++bernoulli_hits;
+        whole += 1.0;
+      }
+      transfer_c = -std::min(whole * params_.quantum_c, y1_);
+    }
+
+    const double demand_c = current_a * dt;
+    if (y1_ + transfer_c <= demand_c) {
+      ++deaths;
+      const double sustained =
+          current_a > 0.0 ? (y1_ + transfer_c) / current_a : dt;
+      y2_ -= std::max(0.0, transfer_c);
+      y1_ = 0.0;
+      dead_ = true;
+      return std::min(sustained, dt);
+    }
+    y1_ += transfer_c - demand_c;
+    y2_ -= transfer_c;
+    y2_ = std::max(0.0, y2_);
+    return dt;
+  }
+
+  double do_draw(double current_a, double dt_s) {
+    double sustained = 0.0;
+    double remaining = dt_s;
+    while (remaining > 0.0 && !dead_) {
+      const double dt = std::min(params_.slot_s, remaining);
+      sustained += step_slot(current_a, dt);
+      remaining -= dt;
+    }
+    return sustained;
+  }
+
+  /// Battery::draw's guard around do_draw.
+  double draw(double current_a, double dt_s) {
+    return dt_s == 0.0 || dead_ ? 0.0 : do_draw(current_a, dt_s);
+  }
+};
+
+/// Runs both kernels through the load x duration grid, interleaved so
+/// idle recovery follows heavy draws, until the cell dies and a few
+/// draws past it; compares the full state after every draw.
+void expect_stochastic_bit_identical(const bat::StochasticParams& params,
+                                     ReferenceStochastic& ref) {
+  bat::StochasticBattery fast(params);
+  const double loads[] = {0.0, 0.02, 1.8, 5.0};
+  const double dts[] = {0.003, 1.0, 5.0, 37.5};
+  int after_death = 0;
+  for (int round = 0; round < 100000 && after_death < 4; ++round) {
+    const double i = loads[round % 4];
+    const double dt = dts[(round / 4 + round) % 4];
+    const double got = fast.draw(i, dt);
+    const double want = ref.draw(i, dt);
+    ASSERT_EQ(got, want) << "sustained diverged at round " << round;
+    ASSERT_EQ(fast.available_c(), ref.y1_) << "y1 diverged at round " << round;
+    ASSERT_EQ(fast.bound_c(), ref.y2_) << "y2 diverged at round " << round;
+    ASSERT_EQ(fast.empty(), ref.dead_) << "death diverged at round " << round;
+    after_death += ref.dead_;
+  }
+  EXPECT_TRUE(fast.empty());
+}
+
+TEST(Stochastic, SlotLoopBitIdenticalToReference) {
+  // Default cell: fractional quanta only, forward recovery, death.
+  const bat::StochasticParams defaults;
+  ReferenceStochastic ref(defaults);
+  expect_stochastic_bit_identical(defaults, ref);
+  EXPECT_GT(ref.forward, 0);
+  EXPECT_GT(ref.bernoulli_hits, 0);
+  EXPECT_EQ(ref.deaths, 1);
+
+  // Tiny quanta and a rate constant that overshoots equilibrium within
+  // one slot: whole quanta (floor > 0) and reverse transfers.
+  bat::StochasticParams coarse;
+  coarse.quantum_c = 1e-4;
+  coarse.kinetics.k_rate = 150.0;
+  coarse.seed = 99;
+  ReferenceStochastic ref_coarse(coarse);
+  expect_stochastic_bit_identical(coarse, ref_coarse);
+  EXPECT_GT(ref_coarse.whole_quanta, 0);
+  EXPECT_GT(ref_coarse.reverse, 0);
+  EXPECT_GT(ref_coarse.bernoulli_hits, 0);
+  EXPECT_EQ(ref_coarse.deaths, 1);
 }
 
 // --- peukert specifics -------------------------------------------------------

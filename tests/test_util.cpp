@@ -25,6 +25,22 @@ TEST(Rng, DeterministicForEqualSeeds) {
   }
 }
 
+TEST(Rng, StreamMatchesKnownValues) {
+  // Every seeded experiment and every golden CSV depends on these exact
+  // words; a change to the seeding, the generator or the hashes must
+  // show up here before it shows up as a moved golden.
+  util::Rng rng(42);
+  EXPECT_EQ(rng.next_u64(), 0x15780b2e0c2ec716ULL);
+  EXPECT_EQ(rng.next_u64(), 0x6104d9866d113a7eULL);
+  EXPECT_EQ(rng.next_u64(), 0xae17533239e499a1ULL);
+  EXPECT_EQ(util::Rng().next_u64(), 0x422ea740d0977210ULL);
+  EXPECT_EQ(util::Rng::mix(1234), 0xbb0cf61b2f181cdbULL);
+  EXPECT_EQ(util::Rng::hash_combine(1234, 5678), 0xcf534b94b250a4baULL);
+  util::Rng u(7);
+  EXPECT_EQ(u.uniform(), 0.7005764821796896);
+  EXPECT_EQ(u.uniform(2.0, 5.0), 2.8362536884213529);
+}
+
 TEST(Rng, DifferentSeedsDiverge) {
   util::Rng a(1);
   util::Rng b(2);
