@@ -1,11 +1,11 @@
 // Ablation: does the Table-2 conclusion depend on the battery model?
 //
 // The paper evaluates on the stochastic model of [13]; our substitution
-// note (DESIGN.md §5) claims scheme *rankings* are model-robust. This
-// bench reruns the Table-2 comparison against every battery model in
-// the library. The ideal battery is the control: without rate-capacity
-// and recovery effects, lifetime differences reduce to pure energy
-// differences.
+// note (EXPERIMENTS.md, "Substitutions") claims scheme *rankings* are
+// model-robust. This bench reruns the Table-2 comparison against every
+// battery model in the library. The ideal battery is the control:
+// without rate-capacity and recovery effects, lifetime differences
+// reduce to pure energy differences.
 //
 // The workload world comes from the scenario registry (`paper-table2`
 // by default; --scenario / --scenario.FIELD reshape it) — the battery

@@ -2,9 +2,13 @@
 //
 // The paper argues its two-step methodology is cheap enough for dynamic
 // (online) use, unlike cost-function optimization over battery models.
-// These benchmarks measure the per-decision costs: frequency selection
-// (ccEDF / laEDF), pUBS scoring, the feasibility check, and a whole
-// simulated second of BAS-2 scheduling.
+// These benchmarks measure the per-decision costs behind that argument:
+// frequency selection (ccEDF / laEDF), pUBS scoring, the feasibility
+// check, operating-point realization, and a whole simulated second of
+// BAS-2 scheduling. BM_LaEdfSelect at 3/10/30 graphs also sizes laEDF's
+// per-step sort of the active graphs, an open optimization in
+// ROADMAP.md. Only cases that inform such a decision belong here;
+// end-to-end and per-layer perf claims go through perfbench/run.py.
 //
 // A hand-rolled steady_clock harness below implements the small slice
 // of the google-benchmark API these functions use (State iteration,
@@ -141,7 +145,6 @@ inline void run_all() {
 #include "sched/priority.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-#include "util/sort.hpp"
 
 namespace {
 
@@ -218,79 +221,6 @@ void BM_Realize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Realize);
-
-void BM_EdfMaintainIncremental(benchmark::State& state) {
-  // The event engine's maintained EDF order: one lower_bound insert at
-  // release, one erase at completion, against a list of `n` incomplete
-  // graphs. Deterministic churn (LCG) so every build times identical
-  // work. Compare with BM_EdfRebuildFull at the same n — the per-step
-  // cost the incremental path replaces.
-  const int n = static_cast<int>(state.range(0));
-  std::vector<double> deadlines(static_cast<std::size_t>(n));
-  std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(lcg >> 11) / 9.0e18;
-  };
-  for (auto& d : deadlines) {
-    d = next();
-  }
-  const auto less = [&deadlines](int a, int b) {
-    const double da = deadlines[static_cast<std::size_t>(a)];
-    const double db = deadlines[static_cast<std::size_t>(b)];
-    return da != db ? da < db : a < b;
-  };
-  std::vector<int> edf;
-  edf.reserve(static_cast<std::size_t>(n));
-  for (int g = 0; g < n; ++g) {
-    util::insert_sorted(edf, g, less);
-  }
-  int g = 0;
-  for (auto _ : state) {
-    // One release + one completion of a random graph: erase, re-key,
-    // re-insert — the steady-state churn of a saturated decision loop.
-    edf.erase(std::find(edf.begin(), edf.end(), g));
-    deadlines[static_cast<std::size_t>(g)] = next();
-    util::insert_sorted(edf, g, less);
-    benchmark::DoNotOptimize(edf.data());
-    g = (g + 1) % n;
-  }
-}
-BENCHMARK(BM_EdfMaintainIncremental)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_EdfRebuildFull(benchmark::State& state) {
-  // What the decision point used to do before the incremental order:
-  // rebuild the candidate list and insertion_sort it from scratch,
-  // every step, on the same churn as BM_EdfMaintainIncremental.
-  const int n = static_cast<int>(state.range(0));
-  std::vector<double> deadlines(static_cast<std::size_t>(n));
-  std::uint64_t lcg = 0x2545F4914F6CDD1Dull;
-  auto next = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<double>(lcg >> 11) / 9.0e18;
-  };
-  for (auto& d : deadlines) {
-    d = next();
-  }
-  const auto less = [&deadlines](int a, int b) {
-    const double da = deadlines[static_cast<std::size_t>(a)];
-    const double db = deadlines[static_cast<std::size_t>(b)];
-    return da != db ? da < db : a < b;
-  };
-  std::vector<int> edf;
-  int g = 0;
-  for (auto _ : state) {
-    deadlines[static_cast<std::size_t>(g)] = next();
-    edf.clear();
-    for (int i = 0; i < n; ++i) {
-      edf.push_back(i);
-    }
-    util::insertion_sort(edf, less);
-    benchmark::DoNotOptimize(edf.data());
-    g = (g + 1) % n;
-  }
-}
-BENCHMARK(BM_EdfRebuildFull)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_SimulatedSecondBas2(benchmark::State& state) {
   // The multimedia scenario's short frame periods pack the densest

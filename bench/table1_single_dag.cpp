@@ -54,7 +54,8 @@ int run(int argc, char** argv) {
   const int max_tasks = static_cast<int>(cli.get_int("max-tasks"));
 
   // Energy comparisons run on the continuous-frequency idealization so
-  // the optimal search has a smooth objective (see DESIGN.md).
+  // the optimal search has a smooth objective (see EXPERIMENTS.md,
+  // "Substitutions").
   const auto proc = scenario::make_processor("continuous");
 
   util::print_banner(

@@ -9,7 +9,7 @@
 // on"). The counters live on the Battery and are cleared by
 // Battery::reset(); the simulator copies them into
 // SimResult::perf.kernel when SimConfig::record_perf_counters is set,
-// which is how bench/perf_hotpath surfaces them per cell.
+// which is how `perfbench/run.py --trace 1` reads them per workload.
 //
 // The counters are instrumentation only: they never enter a sink or a
 // cache record, so they cannot perturb the byte-identity contract.

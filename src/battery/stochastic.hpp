@@ -13,7 +13,7 @@
 // KibamBattery exactly (a property the tests check), while individual
 // runs show the variance a stochastic model contributes.
 //
-// See DESIGN.md §5 (substitutions).
+// See EXPERIMENTS.md, "Substitutions".
 
 #include "battery/kibam.hpp"
 #include "battery/model.hpp"

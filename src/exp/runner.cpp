@@ -184,8 +184,8 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
     cache->annotate(spec.title, spec.metrics);
     writer.emplace(*cache, kWriterQueueCapacity, tlog);
     // Heartbeat suffix: a metrics-registry snapshot of the writer
-    // counters, so the heartbeat and BENCH_perf.json speak the same
-    // metric names.
+    // counters, so the heartbeat and every other registry consumer
+    // speak the same metric names.
     progress.set_stats([&writer] {
       obs::Metrics metrics;
       obs::fill(metrics, writer->stats());

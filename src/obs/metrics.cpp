@@ -70,7 +70,7 @@ std::string format_value(double value) {
 
 void fill(Metrics& metrics, const sim::PerfCounters& perf) {
   auto u = [](std::uint64_t v) { return static_cast<double>(v); };
-  // Hot-path lanes, in the bas-perf cell order.
+  // Hot-path lanes.
   metrics.set("steps", u(perf.steps));
   metrics.set("battery_draws", u(perf.battery_draws));
   metrics.set("battery_interval_advances", u(perf.battery_interval_advances));
@@ -79,7 +79,7 @@ void fill(Metrics& metrics, const sim::PerfCounters& perf) {
   metrics.set("events_popped", u(perf.events_popped));
   metrics.set("ticks_skipped", u(perf.ticks_skipped));
   metrics.set("edf_incremental_ops", u(perf.edf_incremental_ops));
-  // Battery kernel counters (k_*), in bas-perf cell order.
+  // Battery kernel counters (k_*).
   const auto& k = perf.kernel;
   metrics.set("k_exp_sweeps", u(k.exp_sweeps));
   metrics.set("k_exp_calls", u(k.exp_calls));

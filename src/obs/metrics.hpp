@@ -7,9 +7,9 @@
 // A Metrics is an ORDERED registry: entries keep insertion order, names
 // are unique (set() on an existing name overwrites its value, never
 // duplicates the entry), and the standard fillers below always register
-// the same names in the same order — which is what makes the flat
-// bas-perf/4 JSON emitted by bench/perf_hotpath and the heartbeat
-// suffix rendered by the runner stable across runs and builds
+// the same names in the same order — which is what makes the per-layer
+// counters `perfbench/run.py --trace 1` reads and the heartbeat suffix
+// rendered by the runner stable across runs and builds
 // (tests/test_obs.cpp pins uniqueness and stability).
 //
 // Values are doubles: every counter in the repo is far below 2^53, so
@@ -71,8 +71,8 @@ std::string format_value(double value);
 
 /// Registers the simulator hot-path lanes (steps, battery_draws, ...),
 /// the per-kernel battery counters (k_*) and the phase profile (ph_*_ns
-/// + ph_laps) — the exact flat names of the bas-perf/4 cell schema, in
-/// schema order.
+/// + ph_laps), in that order — the names `perfbench/run.py --trace 1`
+/// reads its per-layer counters by.
 void fill(Metrics& metrics, const sim::PerfCounters& perf);
 
 /// Registers the store writer lanes (store_enqueued, store_written,

@@ -23,8 +23,8 @@
 // boundary: one clock read per boundary, with the delta credited to
 // the phase that just ended. The phases therefore PARTITION the loop
 // body — their sum is the loop's wall time (minus the clock reads
-// themselves), which is what lets bench/perf_hotpath report a per-phase
-// table whose rows add up to the measured step time.
+// themselves), which is what lets `perfbench/run.py --trace 1` report
+// each phase as a share of the summed phase time.
 //
 // Cost model (EXPERIMENTS.md, "Observability" has measurements):
 //   BAS_PROFILE=0 (default)  mark()/lap() are empty inline functions —
@@ -77,14 +77,14 @@ constexpr int kPhaseCount = 8;
 
 /// Display name ("dvs-select") — trace spans and tables.
 const char* phase_name(Phase phase);
-/// Flat metric/JSON field name ("ph_dvs_select_ns") — the bas-perf/4
-/// schema and the metrics registry.
+/// Flat metric field name ("ph_dvs_select_ns") — the metrics registry,
+/// under which `perfbench/run.py --trace 1` reads the phase split.
 const char* phase_field(Phase phase);
 
 /// Per-phase accumulated wall time and boundary counts for one run
-/// (SimResult::perf.phases). Always present so the bas-perf schema is
-/// build-independent; all zero unless the build compiled the profiler
-/// in AND the run set SimConfig::record_phase_profile.
+/// (SimResult::perf.phases). Always present so the registered metric
+/// names are build-independent; all zero unless the build compiled the
+/// profiler in AND the run set SimConfig::record_phase_profile.
 struct PhaseProfile {
   /// True when BAS_PROFILE compiled the clock reads in.
   static constexpr bool compiled_in = BAS_PROFILE != 0;

@@ -13,7 +13,7 @@
 //
 // Note on the paper's pseudocode: as printed it resets sumWC inside the
 // loop, making the accumulator dead; we implement the evidently intended
-// prefix sum (see DESIGN.md §5).
+// prefix sum (see EXPERIMENTS.md, "Substitutions").
 
 #include <span>
 

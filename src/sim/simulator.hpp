@@ -84,16 +84,18 @@ struct SimConfig {
   /// Count hot-path work (scheduling steps, battery draws, scratch-
   /// buffer growth) into SimResult::perf. Counters are instrumentation
   /// only — they never enter a sink or a cache record, so recording
-  /// them cannot perturb the byte-identity contract. The perf bench
-  /// (bench/perf_hotpath) flips this on to normalize its timings.
+  /// them cannot perturb the byte-identity contract. The repository
+  /// benchmark (`perfbench/run.py --trace 1`) flips this on to read its
+  /// per-layer counts.
   bool record_perf_counters = false;
   /// Arm the scoped phase profiler (obs/profiler.hpp): per-phase wall
   /// time and lap counts into SimResult::perf.phases. Opt-in per run
   /// and separate from record_perf_counters on purpose — profiling
   /// reads a clock at every phase boundary, which is far too expensive
   /// for timed benchmark reps (tens of percent on dense cells), so
-  /// perf_hotpath profiles one dedicated rep instead of the timed
-  /// ones. No-op (and free) unless the build compiled BAS_PROFILE in.
+  /// perfbench profiles only its traced runs (`--trace 1`), never the
+  /// timed ones. No-op (and free) unless the build compiled BAS_PROFILE
+  /// in.
   bool record_phase_profile = false;
   /// Debug cross-check of the engine's incrementally maintained
   /// state: at every decision point the engine additionally rebuilds
@@ -136,7 +138,8 @@ struct PerfCounters {
   /// Times a reused scratch buffer (status/EDF/candidate arrays,
   /// per-instance node and ready-list storage, event queue) had to
   /// allocate or grow. Steady state should hold this at a small warmup
-  /// constant — the zero-alloc property bench/perf_hotpath tracks.
+  /// constant — the zero-alloc property `perfbench/run.py --trace 1`
+  /// tracks as `sim.scratch_grows`.
   std::uint64_t scratch_grows = 0;
   /// Events dispatched from the queue (releases, battery
   /// observations, horizon) plus completion dispatches of the

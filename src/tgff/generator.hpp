@@ -3,7 +3,7 @@
 // "Task Graphs For Free"), which the paper uses for all its workloads.
 // The original tool is not available offline, so this module reimplements
 // its fan-in/fan-out growth method plus two structured alternatives with
-// equivalent knobs. See DESIGN.md §5 (substitutions).
+// equivalent knobs. See EXPERIMENTS.md, "Substitutions".
 
 #include "taskgraph/graph.hpp"
 #include "util/rng.hpp"

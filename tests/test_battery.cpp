@@ -409,7 +409,7 @@ TEST(Diffusion, RejectsBadParams) {
 
 TEST(Stochastic, ExpectationTracksKibam) {
   // The stochastic model's mean behaviour is the kinetic model (see
-  // DESIGN.md substitution note): delivered capacity at a fixed load
+  // EXPERIMENTS.md, "Substitutions"): delivered capacity at a fixed load
   // should agree within a couple of percent.
   const bat::KibamBattery kibam(bat::KibamParams::paper_aaa_nimh());
   const double k_del =

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -188,23 +189,20 @@ TEST(Obs, SortedEventsAreMonotonePerTrack) {
   }
 }
 
-TEST(Obs, TraceJsonIsWellFormed) {
-  obs::TraceLog log;
-  log.name_process(obs::kSimPid, "sim \"quoted\" \\ name");
-  log.span("a span", obs::kSimPid, 0, 1.5, 2.25, "{\"graph\": 1}");
-  log.instant("marker\nwith newline", obs::kSimPid, 1, 3.0);
-  log.counter("depth", obs::kCampaignPid, 4.0, 17.0);
-  const std::string json = log.to_json();
-  EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
-  // Balanced braces/brackets and no raw control characters — the
-  // structural half of "python3 -m json.tool passes" (CI runs the
-  // real parser over --trace-out output).
+// The structural half of "python3 -m json.tool passes": balanced
+// braces/brackets, closed strings, no raw control characters, and no
+// bare words outside strings except the JSON literals and a number's
+// exponent (so a `nan` or `inf` timestamp fails). Returns the first
+// fault, or an empty string.
+std::string json_structure_fault(const std::string& json) {
   int depth = 0;
   bool in_string = false;
   bool escaped = false;
-  for (const char c : json) {
-    EXPECT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
-        << "raw control character in JSON";
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (static_cast<unsigned char>(c) < 0x20 && c != '\n') {
+      return "raw control character at byte " + std::to_string(i);
+    }
     if (escaped) {
       escaped = false;
       continue;
@@ -217,18 +215,76 @@ TEST(Obs, TraceJsonIsWellFormed) {
       }
       continue;
     }
+    if (std::isalpha(static_cast<unsigned char>(c))) {
+      std::size_t end = i;
+      while (end < json.size() &&
+             std::isalpha(static_cast<unsigned char>(json[end]))) {
+        ++end;
+      }
+      const std::string word = json.substr(i, end - i);
+      if (word != "true" && word != "false" && word != "null" &&
+          word != "e" && word != "E") {
+        return "bare word '" + word + "' at byte " + std::to_string(i);
+      }
+      i = end - 1;
+      continue;
+    }
     switch (c) {
       case '"': in_string = true; break;
       case '{': case '[': ++depth; break;
       case '}': case ']': --depth; break;
       default: break;
     }
-    EXPECT_GE(depth, 0);
+    if (depth < 0) {
+      return "unbalanced close at byte " + std::to_string(i);
+    }
   }
-  EXPECT_EQ(depth, 0);
-  EXPECT_FALSE(in_string);
+  if (in_string) {
+    return "unterminated string";
+  }
+  return depth == 0 ? std::string() : "unclosed brace or bracket";
+}
+
+TEST(Obs, TraceJsonIsWellFormed) {
+  // Hand-built input: escaping of quotes, backslashes and newlines.
+  obs::TraceLog log;
+  log.name_process(obs::kSimPid, "sim \"quoted\" \\ name");
+  log.span("a span", obs::kSimPid, 0, 1.5, 2.25, "{\"graph\": 1}");
+  log.instant("marker\nwith newline", obs::kSimPid, 1, 3.0);
+  log.counter("depth", obs::kCampaignPid, 4.0, 17.0);
+  const std::string json = log.to_json();
+  EXPECT_EQ(json.rfind("{\"traceEvents\": [", 0), 0u);
+  EXPECT_EQ(json_structure_fault(json), "");
   // The metadata record and all three events survived rendering.
   EXPECT_EQ(log.size(), 4u);
+
+  // A real sim trace: a short per-slice (window 0) run with the full
+  // execution trace on, so the document carries release / complete
+  // instants with args and one span per executed node slice.
+  obs::TraceLog sim_log;
+  sim_log.name_process(obs::kSimPid, "sim: paper-table2/BAS-2/kibam");
+  const auto& spec = scenario::scenario("paper-table2");
+  util::Rng rng(19);
+  const auto set = spec.make_workload(rng);
+  const auto proc = spec.make_processor();
+  auto config = spec.sim_config(util::Rng::hash_combine(19u, 1000u));
+  config.battery_window_s = 0.0;
+  config.record_trace = true;
+  config.trace_log = &sim_log;
+  config.horizon_s = 60.0;
+  auto battery = scenario::make_battery(spec.battery);
+  const auto r = sim::simulate_scheme(set, proc, core::SchemeKind::kBas2,
+                                      config, battery.get());
+  ASSERT_GT(r.instances_completed, 0u);
+  EXPECT_EQ(sim_log.count("release"), r.instances_released);
+  EXPECT_EQ(sim_log.count("complete"), r.instances_completed);
+  const std::string sim_json = sim_log.to_json();
+  EXPECT_EQ(sim_json.rfind("{\"traceEvents\": [", 0), 0u);
+  EXPECT_EQ(json_structure_fault(sim_json), "");
+  EXPECT_NE(sim_json.find("\"name\": \"release\", \"ph\": \"i\""),
+            std::string::npos);
+  EXPECT_NE(sim_json.find("\"args\": {\"graph\": "), std::string::npos);
+  EXPECT_NE(sim_json.find("\"ph\": \"X\""), std::string::npos);
 }
 
 TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
@@ -253,9 +309,9 @@ TEST(Obs, TraceCapturesExecutionSpansInSimTime) {
 // --------------------------------------------------- phase vocabulary
 
 TEST(Obs, PhaseNamesAndFieldsAreASchema) {
-  // These strings are load-bearing: trace span names, bas-perf/4 JSON
-  // keys and the metrics registry all use them. Renaming one is a
-  // schema change (bump kSchema in bench/perf_hotpath.cpp).
+  // These strings are load-bearing: trace span names and the metrics
+  // registry use them, and perfbench/src/main.cpp reads the phase split
+  // by phase_field(). Renaming one changes what those consumers see.
   using obs::Phase;
   EXPECT_STREQ(obs::phase_name(Phase::kQueueOps), "queue-ops");
   EXPECT_STREQ(obs::phase_name(Phase::kIncrementalMaint),
