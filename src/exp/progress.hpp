@@ -7,16 +7,13 @@
 //   <title>: 128/1024 jobs (12.5%), elapsed 42.0s, eta 294.1s
 //
 // to stderr, throttled to one line per half second plus a final line
-// at completion. A stats hook (set_stats) appends a caller-supplied
-// suffix — the runner uses it for a metrics-registry snapshot of the
-// async writer's queue depth/stall counters. stdout is untouched, so tables
-// and CSV byte-compare regardless of whether reporting is on. tick()
-// is thread-safe and, when disabled, a single atomic increment.
+// at completion. stdout is untouched, so tables and CSV byte-compare
+// regardless of whether reporting is on. tick() is thread-safe and,
+// when disabled, a single atomic increment.
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <string>
 
@@ -35,19 +32,12 @@ class Progress {
   /// store-resume summary.
   void note(const std::string& text) const;
 
-  /// Installs (or, with an empty function, removes) a supplier whose
-  /// string is appended to each heartbeat line, e.g. the writer-queue
-  /// stats. The supplier is called under the print throttle, at most
-  /// once per heartbeat — it may take its own locks.
-  void set_stats(std::function<std::string()> stats);
-
  private:
   std::string title_;
   std::size_t total_ = 0;
   bool enabled_ = false;
   std::atomic<std::size_t> done_{0};
   std::mutex print_mutex_;
-  std::function<std::string()> stats_;  ///< guarded by print_mutex_
   std::chrono::steady_clock::time_point start_;
   std::chrono::steady_clock::time_point last_print_;
 };

@@ -11,19 +11,13 @@
 #include <vector>
 
 #include "exp/progress.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
-#include "store/async_writer.hpp"
 #include "store/store.hpp"
 #include "util/cli.hpp"
 
 namespace bas::exp {
 
 namespace {
-
-/// Bound of the async writer's ring buffer (records). A full ring
-/// blocks producers (backpressure) rather than dropping records.
-constexpr std::size_t kWriterQueueCapacity = 1024;
 
 /// Campaign-trace args of job `index`, plus any extra JSON members.
 std::string job_args(std::size_t index, const char* extra = "") {
@@ -153,9 +147,9 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   std::vector<std::vector<double>> results(n_jobs);
   Progress progress(spec.title, pending.size(), options_.progress);
 
-  // Campaign trace (--trace-out): per-job spans on per-worker tracks,
-  // fail markers, the writer's queue-depth counter. The log
-  // is observational only — it never feeds results or the store.
+  // Campaign trace (--trace-out): per-job spans on per-worker tracks
+  // and fail markers. The log is observational only — it never feeds
+  // results or the store.
   std::optional<obs::TraceLog> trace;
   if (!options_.trace_out.empty()) {
     trace.emplace();
@@ -179,19 +173,23 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
                   "the store; folding the partial result (--keep-going)");
   }
 
-  std::optional<store::AsyncWriter> writer;
-  if (cache && !pending.empty()) {
+  // The worker that finishes a job appends its row itself, under one
+  // mutex: CampaignStore::append is called by one thread at a time, and
+  // a row is durable before its worker claims the next job.
+  std::mutex store_mutex;
+  std::size_t rows_written = 0;  // guarded by store_mutex
+  const bool storing = cache && !pending.empty();
+  if (storing) {
     cache->annotate(spec.title, spec.metrics);
-    writer.emplace(*cache, kWriterQueueCapacity, tlog);
-    // Heartbeat suffix: a metrics-registry snapshot of the writer
-    // counters, so the heartbeat and every other registry consumer
-    // speak the same metric names.
-    progress.set_stats([&writer] {
-      obs::Metrics metrics;
-      obs::fill(metrics, writer->stats());
-      return metrics.render_compact();
-    });
   }
+  auto append_row = [&](store::StoreRecord record) {
+    if (!storing) {
+      return;
+    }
+    std::lock_guard<std::mutex> lock(store_mutex);
+    cache->append({std::move(record)});
+    ++rows_written;
+  };
 
   std::mutex error_mutex;
   std::string first_error;
@@ -230,12 +228,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
               "returned " + std::to_string(metrics.size()) +
               " metrics, expected " + std::to_string(spec.metrics.size()));
         }
-        if (writer) {
-          store::StoreRecord record;
-          record.job_index = job.index;
-          record.metrics = metrics;
-          writer->enqueue(std::move(record));
-        }
+        append_row({job.index, metrics, {}});
         results[job.index] = std::move(metrics);
         if (tlog != nullptr) {
           tlog->span(plan.describe(job), obs::kCampaignPid, tid, job_t0,
@@ -252,12 +245,7 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
       if (options_.keep_going) {
         const std::string described = plan.describe(job) + ": " + what;
         try {
-          if (writer) {
-            store::StoreRecord record;
-            record.job_index = job.index;
-            record.error = described;
-            writer->enqueue(std::move(record));
-          }
+          append_row({job.index, {}, described});
           failed_jobs.fetch_add(1, std::memory_order_relaxed);
           {
             std::lock_guard<std::mutex> lock(error_mutex);
@@ -301,24 +289,9 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
     }
   }
 
-  // Drain the writer before reporting anything: a campaign is not done
-  // until its rows are durable, and a backend failure must surface on
-  // this thread with the experiment's name attached.
-  if (writer) {
-    try {
-      writer->drain();
-    } catch (const std::exception& e) {
-      if (!failed.exchange(true)) {
-        first_error = e.what();
-      }
-    }
-    const auto stats = writer->stats();
-    progress.set_stats({});
+  if (storing) {
     progress.note("store '" + cache->describe() + "': " +
-                  std::to_string(stats.written) + " row(s) in " +
-                  std::to_string(stats.batches) + " batch(es), " +
-                  stats.summary());
-    writer.reset();
+                  std::to_string(rows_written) + " row(s)");
   }
 
   // Write the campaign trace even when a job failed — a trace of the

@@ -9,11 +9,10 @@
 //           store (store/store.hpp). Each worker claims the next
 //           pending job from one shared atomic cursor, so uneven cell
 //           costs never leave a thread idle while work remains, and
-//           runs it once; finished metrics are handed to an async
-//           writer (store/async_writer.hpp) whose consumer thread
-//           batches them into the backend — workers never pay a
-//           write+flush. A Progress reporter (progress.hpp) heartbeats
-//           jobs/ETA plus the writer-queue stats to stderr.
+//           runs it once. The worker that finishes a job appends its
+//           row to the store itself, under one mutex, so a row is
+//           durable before its worker claims the next job. A Progress
+//           reporter (progress.hpp) heartbeats jobs/ETA to stderr.
 //  collect  The job-order fold merges stored and freshly computed
 //           metrics into an ExperimentResult. Because %.17g round-trips
 //           doubles exactly (both backends store that rendering), a
@@ -87,15 +86,13 @@ struct RunnerOptions {
   /// is rejected together with a shard — sibling shard processes may
   /// still be appending. Composes with merging and resuming.
   bool compact_cache = false;
-  /// Report jobs-done/total, ETA and writer-queue stats to stderr
-  /// while executing.
+  /// Report jobs-done/total and ETA to stderr while executing.
   bool progress = false;
   /// When non-empty, record a whole-campaign Chrome trace (per-job
-  /// spans on per-worker tracks, fail markers, the async writer's
-  /// queue-depth counter) and write it to this path after the pool
-  /// drains — load it in Perfetto / chrome://tracing. Purely
-  /// observational: results and stored rows are byte-identical with or
-  /// without it.
+  /// spans on per-worker tracks and fail markers) and write it to this
+  /// path after the pool drains — load it in Perfetto /
+  /// chrome://tracing. Purely observational: results and stored rows
+  /// are byte-identical with or without it.
   std::string trace_out;
   /// When a job fails: record an error row in the store and carry on
   /// (true) instead of aborting the run (false). Cells with failed

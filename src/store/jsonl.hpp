@@ -6,9 +6,9 @@
 //   {"fp":"<16-hex fingerprint>","job":<index>,"metrics":[<%.17g>...]}
 //   {"fp":"<16-hex fingerprint>","job":<index>,"error":"<escaped>"}
 //
-// Records are flushed batch by batch: a killed campaign loses at most
-// the batches still queued in the async writer, and load() simply
-// skips a torn final line. Writers never share a file — each
+// Records are flushed batch by batch: a killed campaign loses only the
+// jobs whose rows were not yet appended, and load() simply skips a
+// torn final line. Writers never share a file — each
 // (fingerprint, writer tag) pair appends to its own
 // `<fingerprint>[-<tag>].jsonl` — so concurrent shard processes can
 // point at the same store directory. load() scans every *.jsonl file

@@ -70,9 +70,9 @@ struct CompactionStats {
 /// that fingerprint regardless of which writer appended it.
 ///
 /// Thread model: append() is called from one thread at a time (the
-/// async writer's consumer drains batches serially; Runner also calls
-/// it inline); load()/load_errors() are called before the writer
-/// starts. Implementations need not synchronize between the two.
+/// runner's workers serialize their appends on one mutex);
+/// load()/load_errors() are called before the workers start.
+/// Implementations need not synchronize between the two.
 class CampaignStore {
  public:
   virtual ~CampaignStore();

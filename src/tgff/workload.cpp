@@ -45,7 +45,7 @@ tg::TaskGraphSet make_workload(const WorkloadParams& params, util::Rng& rng) {
     const double log_hi = std::log(params.period_hi_s);
     const double period = std::exp(rng.uniform(log_lo, log_hi));
     g.set_period(period);
-    g.set_name("G" + std::to_string(i));
+    g.set_name(std::string("G").append(std::to_string(i)));
 
     // Rescale wcets so this graph contributes exactly its share:
     //   u_i = target * w_i / sum(w)  =  (WC_i / fmax) / period_i

@@ -1,8 +1,8 @@
 // Tests for the campaign layer: plan/fingerprint, shard partition,
 // store-backed resume, merge collection, keep-going error rows,
-// shared-cursor determinism and the coordinate-bearing runner error
-// reports. The store subsystem itself (backends, async writer,
-// compaction) is covered by test_store.cpp.
+// shared-cursor determinism, store-failure propagation and the
+// coordinate-bearing runner error reports. The store subsystem itself
+// (backends, compaction) is covered by test_store.cpp.
 
 #include <gtest/gtest.h>
 
@@ -425,6 +425,34 @@ TEST(Campaign, KeepGoingRecordsErrorRowsAndFinishesTheShard) {
   const auto resumed = exp::run_experiment(fixed, resume);
   EXPECT_EQ(executed.load(), 1u);
   expect_bitwise_equal(exp::run_experiment(awkward_spec(), 1), resumed);
+}
+
+TEST(Campaign, StoreAppendFailureFailsTheCampaign) {
+  // A directory squatting on the store's file name makes every append
+  // throw. A store failure is fatal even under keep_going: the runner
+  // must not finish a campaign whose rows it could not persist.
+  TempDir dir("append-failure");
+  const auto spec = awkward_spec();
+  const std::string store_file =
+      dir.path + "/" + exp::fingerprint_hex(exp::spec_fingerprint(spec)) +
+      ".jsonl";
+  std::filesystem::create_directories(store_file);
+  for (const bool keep_going : {false, true}) {
+    exp::RunnerOptions options;
+    options.jobs = 2;
+    options.cache_dir = dir.path;
+    options.keep_going = keep_going;
+    try {
+      exp::run_experiment(spec, options);
+      FAIL() << "expected std::runtime_error (keep_going=" << keep_going
+             << ")";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("experiment 'awkward'"), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(store_file), std::string::npos) << message;
+    }
+  }
 }
 
 // ----------------------------------------------------- error reporting

@@ -1,8 +1,7 @@
 // Tests for the streaming campaign store (src/store/): the %.17g
 // round-trip contract on both backends, kill-mid-write recovery,
-// compaction (dedupe, stale-fingerprint purge, live-writer refusal),
-// the bounded async writer (backpressure, batching, failure
-// propagation) and cross-backend byte identity of merged results.
+// compaction (dedupe, stale-fingerprint purge, live-writer refusal)
+// and cross-backend byte identity of merged results.
 
 #include <gtest/gtest.h>
 
@@ -10,20 +9,17 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "exp/plan.hpp"
 #include "exp/runner.hpp"
 #include "exp/sink.hpp"
-#include "store/async_writer.hpp"
 #include "store/jsonl.hpp"
 #include "store/sqlite.hpp"
 #include "store/store.hpp"
@@ -474,107 +470,6 @@ TEST(Compaction, OwnProcessMarkersDoNotBlock) {
   const auto stats =
       store::compact_store(store::Backend::kJsonl, dir.path, 0xAAAAULL, 1);
   EXPECT_EQ(stats.records_kept, 1u);
-}
-
-// --------------------------------------------------------- async writer
-
-/// Test double: records appended batches, optionally slow or failing.
-class FakeStore final : public store::CampaignStore {
- public:
-  std::map<std::size_t, std::vector<double>> load(std::size_t) override {
-    return {};
-  }
-  std::map<std::size_t, std::string> load_errors() override { return {}; }
-
-  void append(const std::vector<store::StoreRecord>& batch) override {
-    entered.store(true);
-    if (append_delay.count() > 0) {
-      std::this_thread::sleep_for(append_delay);
-    }
-    if (fail) {
-      throw std::runtime_error("disk full");
-    }
-    batches.push_back(batch.size());
-    for (const auto& record : batch) {
-      records.push_back(record.job_index);
-    }
-  }
-  const std::string& describe() const noexcept override { return name; }
-
-  std::string name = "fake";
-  std::chrono::milliseconds append_delay{0};
-  bool fail = false;
-  std::atomic<bool> entered{false};
-  std::vector<std::size_t> batches;  ///< per-append batch sizes
-  std::vector<std::size_t> records;  ///< job indices in commit order
-};
-
-TEST(AsyncWriter, BackpressureBlocksProducersWithoutDropping) {
-  FakeStore fake;
-  fake.append_delay = std::chrono::milliseconds(20);
-  store::AsyncWriter writer(fake, 2);
-  for (std::size_t i = 0; i < 10; ++i) {
-    writer.enqueue({i, {static_cast<double>(i)}, ""});
-  }
-  writer.drain();
-  const auto stats = writer.stats();
-  EXPECT_EQ(stats.enqueued, 10u);
-  EXPECT_EQ(stats.written, 10u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_GT(stats.stalls, 0u);  // the tiny ring had to block producers
-  EXPECT_LE(stats.high_water, 2u);
-  EXPECT_EQ(stats.depth, 0u);
-  // FIFO order survives batching.
-  ASSERT_EQ(fake.records.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(fake.records[i], i);
-  }
-}
-
-TEST(AsyncWriter, CoalescesQueuedRecordsIntoOneBatch) {
-  FakeStore fake;
-  fake.append_delay = std::chrono::milliseconds(50);
-  store::AsyncWriter writer(fake, 8);
-  writer.enqueue({0, {0.0}, ""});
-  // Wait until the consumer is inside append() with record 0, then
-  // queue five more: they must coalesce into one follow-up batch.
-  while (!fake.entered.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (std::size_t i = 1; i <= 5; ++i) {
-    writer.enqueue({i, {static_cast<double>(i)}, ""});
-  }
-  writer.drain();
-  ASSERT_EQ(fake.batches.size(), 2u);
-  EXPECT_EQ(fake.batches[0], 1u);
-  EXPECT_EQ(fake.batches[1], 5u);
-  EXPECT_EQ(writer.stats().batches, 2u);
-}
-
-TEST(AsyncWriter, BackendFailurePropagatesToProducers) {
-  FakeStore fake;
-  fake.fail = true;
-  store::AsyncWriter writer(fake, 4);
-  writer.enqueue({0, {1.0}, ""});
-  try {
-    writer.drain();
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("disk full"), std::string::npos);
-  }
-  // Later enqueues rethrow instead of buffering into a dead store.
-  EXPECT_THROW(writer.enqueue({1, {2.0}, ""}), std::runtime_error);
-}
-
-TEST(AsyncWriter, DestructorDrainsRemainingRecords) {
-  FakeStore fake;
-  {
-    store::AsyncWriter writer(fake, 16);
-    for (std::size_t i = 0; i < 5; ++i) {
-      writer.enqueue({i, {static_cast<double>(i)}, ""});
-    }
-  }
-  EXPECT_EQ(fake.records.size(), 5u);
 }
 
 // ----------------------------------------------- cross-backend contract

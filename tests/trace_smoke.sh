@@ -7,8 +7,8 @@
 #      byte-identical CSV output to the same run without it (cmp), and
 #      the flag stays out of the cache-keying config summary.
 #   2. The emitted file is real trace-event JSON: `python3 -m json.tool`
-#      parses the campaign trace (runner-level: job spans, writer queue
-#      depth), and the document carries the expected structure.
+#      parses the campaign trace (runner-level: job spans and fail
+#      markers), and the document carries the expected structure.
 #
 # The in-process format contracts (per-track monotone ts, escaping,
 # release/completion counts, a real sim trace's structure) live in
