@@ -10,132 +10,16 @@
 // ROADMAP.md. Only cases that inform such a decision belong here;
 // end-to-end and per-layer perf claims go through perfbench/run.py.
 //
-// A hand-rolled steady_clock harness below implements the small slice
-// of the google-benchmark API these functions use (State iteration,
-// range(0), DoNotOptimize, the BENCHMARK registration macros), so the
-// binary builds and runs with no benchmark library installed.
+// Each case is one call timed by time_case(), a calibrating
+// steady_clock loop; setup stays outside the timed loop.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
-
-namespace benchmark {
-
-/// Range-for drives the measured loop exactly like google-benchmark's
-/// State: `for (auto _ : state)` runs a preset number of iterations.
-class State {
- public:
-  State(std::int64_t iterations, std::vector<std::int64_t> ranges)
-      : iterations_(iterations), ranges_(std::move(ranges)) {}
-
-  /// The `unused` attribute keeps `for (auto _ : state)` free of
-  /// -Wunused warnings (google-benchmark does the same).
-  struct __attribute__((unused)) Value {};
-  struct Iterator {
-    std::int64_t left;
-    bool operator!=(const Iterator& other) const { return left != other.left; }
-    void operator++() { --left; }
-    Value operator*() const { return Value{}; }
-  };
-  Iterator begin() const { return {iterations_}; }
-  Iterator end() const { return {0}; }
-
-  std::int64_t range(std::size_t i = 0) const { return ranges_.at(i); }
-
- private:
-  std::int64_t iterations_;
-  std::vector<std::int64_t> ranges_;
-};
-
-template <class T>
-inline void DoNotOptimize(T&& value) {
-  asm volatile("" : : "g"(value) : "memory");
-}
-
-struct Registration {
-  std::string name;
-  void (*fn)(State&);
-  std::vector<std::int64_t> args;  // one timed instance per arg; empty = one
-
-  Registration* Arg(std::int64_t arg) {
-    args.push_back(arg);
-    return this;
-  }
-};
-
-inline std::vector<Registration*>& registry() {
-  static std::vector<Registration*> benchmarks;
-  return benchmarks;
-}
-
-inline Registration* register_benchmark(const char* name, void (*fn)(State&)) {
-  auto* registration = new Registration{name, fn, {}};
-  registry().push_back(registration);
-  return registration;
-}
-
-inline double time_once(void (*fn)(State&),
-                        const std::vector<std::int64_t>& ranges,
-                        std::int64_t iterations) {
-  State state(iterations, ranges);
-  const auto start = std::chrono::steady_clock::now();
-  fn(state);
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-inline void run_instance(const Registration& registration,
-                         const std::vector<std::int64_t>& ranges,
-                         const std::string& label) {
-  // Calibrate: grow the iteration count until the timed region is long
-  // enough (>= 50 ms) to swamp clock granularity.
-  std::int64_t iterations = 1;
-  double elapsed = time_once(registration.fn, ranges, iterations);
-  while (elapsed < 0.05 && iterations < (std::int64_t{1} << 40)) {
-    const double target = 0.1;
-    std::int64_t next =
-        elapsed > 0.0
-            ? static_cast<std::int64_t>(iterations * (target / elapsed) + 1)
-            : iterations * 10;
-    next = std::min(next, iterations * 10);
-    iterations = std::max(next, iterations + 1);
-    elapsed = time_once(registration.fn, ranges, iterations);
-  }
-  std::printf("%-32s %14.1f ns/op %12lld iters\n", label.c_str(),
-              1e9 * elapsed / static_cast<double>(iterations),
-              static_cast<long long>(iterations));
-}
-
-inline void run_all() {
-  std::printf("%-32s %20s %18s\n", "benchmark", "time", "iterations");
-  std::printf("%s\n", std::string(66, '-').c_str());
-  for (const auto* registration : registry()) {
-    if (registration->args.empty()) {
-      run_instance(*registration, {}, registration->name);
-    } else {
-      for (const auto arg : registration->args) {
-        run_instance(*registration, {arg},
-                     registration->name + "/" + std::to_string(arg));
-      }
-    }
-  }
-}
-
-}  // namespace benchmark
-
-#define BENCHMARK(fn)                                \
-  static ::benchmark::Registration* fn##_registration \
-      [[maybe_unused]] = ::benchmark::register_benchmark(#fn, fn)
-#define BENCHMARK_MAIN() \
-  int main() {           \
-    ::benchmark::run_all(); \
-    return 0;            \
-  }
 
 #include "core/scheme.hpp"
 #include "dvs/policy.hpp"
@@ -149,6 +33,43 @@ inline void run_all() {
 namespace {
 
 using namespace bas;
+
+/// Keeps `value` observable so the compiler cannot drop the call.
+template <class T>
+void keep(T&& value) {
+  asm volatile("" : : "g"(value) : "memory");
+}
+
+/// Times `op` over a calibrated iteration count and prints one row:
+/// the count grows until the timed loop runs >= 50 ms, long enough to
+/// swamp clock granularity.
+template <class Op>
+void time_case(const std::string& label, Op op) {
+  const auto time_loop = [&](std::int64_t iterations) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::int64_t i = 0; i < iterations; ++i) {
+      keep(op());
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  std::int64_t iterations = 1;
+  double elapsed = time_loop(iterations);
+  while (elapsed < 0.05 && iterations < (std::int64_t{1} << 40)) {
+    const double target = 0.1;
+    std::int64_t next =
+        elapsed > 0.0
+            ? static_cast<std::int64_t>(iterations * (target / elapsed) + 1)
+            : iterations * 10;
+    next = std::min(next, iterations * 10);
+    iterations = std::max(next, iterations + 1);
+    elapsed = time_loop(iterations);
+  }
+  std::printf("%-32s %14.1f ns/op %12lld iters\n", label.c_str(),
+              1e9 * elapsed / static_cast<double>(iterations),
+              static_cast<long long>(iterations));
+}
 
 std::vector<dvs::GraphStatus> make_statuses(int n) {
   std::vector<dvs::GraphStatus> statuses;
@@ -166,82 +87,71 @@ std::vector<dvs::GraphStatus> make_statuses(int n) {
   return statuses;
 }
 
-void BM_CcEdfSelect(benchmark::State& state) {
-  auto policy = dvs::make_cc_edf(1e9);
-  const auto statuses = make_statuses(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->select(statuses, 0.01));
-  }
+void time_select(const char* name, std::unique_ptr<dvs::DvsPolicy> policy,
+                 int n) {
+  const auto statuses = make_statuses(n);
+  time_case(std::string(name) + "/" + std::to_string(n),
+            [&] { return policy->select(statuses, 0.01); });
 }
-BENCHMARK(BM_CcEdfSelect)->Arg(3)->Arg(10)->Arg(30);
 
-void BM_LaEdfSelect(benchmark::State& state) {
-  auto policy = dvs::make_la_edf(1e9);
-  const auto statuses = make_statuses(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy->select(statuses, 0.01));
+}  // namespace
+
+int main() {
+  std::printf("%-32s %20s %18s\n", "benchmark", "time", "iterations");
+  std::printf("%s\n", std::string(66, '-').c_str());
+
+  for (const int n : {3, 10, 30}) {
+    time_select("BM_CcEdfSelect", dvs::make_cc_edf(1e9), n);
   }
-}
-BENCHMARK(BM_LaEdfSelect)->Arg(3)->Arg(10)->Arg(30);
+  for (const int n : {3, 10, 30}) {
+    time_select("BM_LaEdfSelect", dvs::make_la_edf(1e9), n);
+  }
 
-void BM_PubsScore(benchmark::State& state) {
-  auto pubs = sched::make_pubs_priority();
+  const auto pubs = sched::make_pubs_priority();
   sched::Candidate c;
   c.wc_cycles = 1e7;
   c.estimate_cycles = 6e6;
   c.actual_cycles = 5e6;
   c.graph_abs_deadline_s = 1.0;
   c.graph_remaining_wc_cycles = 5e7;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pubs->score(c, 0.1));
-  }
-}
-BENCHMARK(BM_PubsScore);
+  time_case("BM_PubsScore", [&] { return pubs->score(c, 0.1); });
 
-void BM_FeasibilityCheck(benchmark::State& state) {
-  auto statuses = make_statuses(static_cast<int>(state.range(0)));
-  std::sort(statuses.begin(), statuses.end(),
-            [](const dvs::GraphStatus& a, const dvs::GraphStatus& b) {
-              return a.abs_deadline_s < b.abs_deadline_s;
-            });
-  const int pos = static_cast<int>(statuses.size()) - 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::feasibility_check(statuses, pos, 1e6, 8e8, 0.01));
+  for (const int n : {3, 10, 30}) {
+    auto statuses = make_statuses(n);
+    std::sort(statuses.begin(), statuses.end(),
+              [](const dvs::GraphStatus& a, const dvs::GraphStatus& b) {
+                return a.abs_deadline_s < b.abs_deadline_s;
+              });
+    const int pos = static_cast<int>(statuses.size()) - 1;
+    time_case("BM_FeasibilityCheck/" + std::to_string(n), [&] {
+      return sched::feasibility_check(statuses, pos, 1e6, 8e8, 0.01);
+    });
   }
-}
-BENCHMARK(BM_FeasibilityCheck)->Arg(3)->Arg(10)->Arg(30);
 
-void BM_Realize(benchmark::State& state) {
   const auto proc = scenario::make_processor("paper");
   double f = 0.51e9;
-  for (auto _ : state) {
+  time_case("BM_Realize", [&] {
     f = f > 0.99e9 ? 0.51e9 : f + 1e6;
-    benchmark::DoNotOptimize(dvs::realize(proc, f));
-  }
-}
-BENCHMARK(BM_Realize);
+    return dvs::realize(proc, f);
+  });
 
-void BM_SimulatedSecondBas2(benchmark::State& state) {
   // The multimedia scenario's short frame periods pack the densest
   // decision stream per simulated second of any preset.
-  util::Rng rng(9);
-  auto scn = scenario::scenario("multimedia-pipeline");
-  scn.workload.graph_count = static_cast<int>(state.range(0));
-  const auto set = scn.make_workload(rng);
-  const auto proc = scn.make_processor();
-  for (auto _ : state) {
-    sim::SimConfig config = scn.sim_config(1);
-    config.horizon_s = 1.0;
-    config.drain = true;
-    core::Scheme scheme =
-        core::make_scheme(core::SchemeKind::kBas2, proc.fmax_hz(), 1);
-    sim::Simulator sim(set, proc, scheme, config);
-    benchmark::DoNotOptimize(sim.run());
+  for (const int graphs : {3, 8}) {
+    util::Rng rng(9);
+    auto scn = scenario::scenario("multimedia-pipeline");
+    scn.workload.graph_count = graphs;
+    const auto set = scn.make_workload(rng);
+    const auto mm_proc = scn.make_processor();
+    time_case("BM_SimulatedSecondBas2/" + std::to_string(graphs), [&] {
+      sim::SimConfig config = scn.sim_config(1);
+      config.horizon_s = 1.0;
+      config.drain = true;
+      core::Scheme scheme =
+          core::make_scheme(core::SchemeKind::kBas2, mm_proc.fmax_hz(), 1);
+      sim::Simulator sim(set, mm_proc, scheme, config);
+      return sim.run();
+    });
   }
+  return 0;
 }
-BENCHMARK(BM_SimulatedSecondBas2)->Arg(3)->Arg(8);
-
-}  // namespace
-
-BENCHMARK_MAIN();

@@ -6,10 +6,10 @@
 // Element-wise per-term loops (no reductions, no libm calls) are safe to
 // hand to the vectorizer: SIMD add/mul/div are IEEE-identical lane for
 // lane, so the pragma cannot move a bit. Reduction loops (the sigma
-// accumulations) and the exp/strength-reduction fills stay scalar — a
-// simd reduction would reassociate the sum, and an omp-simd'd std::exp
-// loop could bind to a vector libm with different rounding; both would
-// break the byte-identity contract.
+// accumulations) and the exp fill stay scalar — a simd reduction would
+// reassociate the sum, and an omp-simd'd std::exp loop could bind to a
+// vector libm with different rounding; both would break the
+// byte-identity contract.
 #if defined(BAS_OPENMP_SIMD)
 #define BAS_SIMD _Pragma("omp simd")
 #else
@@ -32,7 +32,7 @@ DiffusionBattery::DiffusionBattery(DiffusionParams params) : params_(params) {
     throw std::invalid_argument("DiffusionBattery: bad parameters");
   }
   terms_ = static_cast<std::size_t>(params_.series_terms);
-  soa_.assign(5 * terms_, 0.0);
+  soa_.assign(4 * terms_, 0.0);
   double* r = soa_.data();
   for (int m = 1; m <= params_.series_terms; ++m) {
     // Same expression the per-call formulas evaluated, so the table
@@ -144,66 +144,6 @@ double DiffusionBattery::do_draw(double current_a, double dt_s) {
     }
   }
   advance(current_a, lo);
-  dead_ = true;
-  return lo;
-}
-
-double DiffusionBattery::sigma_after_c_fast(double current_a,
-                                            double t) const {
-  // Strength-reduced decays: x = e^{-β²t}; x^{m²} = x^{(m-1)²}·x^{2m-1}
-  // — one exp for the whole series. The recurrence itself is a serial
-  // dependence chain, so it stays scalar by construction.
-  ++kc_.exp_calls;
-  const double x = std::exp(-params_.beta_squared * t);
-  const double x_sq = x * x;
-  double* fd = fast_decay();
-  double odd = x;  // x^{2m-1}
-  double dm = x;   // x^{m²}
-  for (std::size_t i = 0; i < terms_; ++i) {
-    fd[i] = dm;
-    odd *= x_sq;
-    dm *= odd;
-  }
-  const double* r = rates();
-  const double* s = s_lane();
-  double sigma = drawn_c_ + current_a * t;
-  for (std::size_t i = 0; i < terms_; ++i) {
-    sigma += 2.0 * (s[i] * fd[i] + current_a * (1.0 - fd[i]) / r[i]);
-  }
-  return sigma;
-}
-
-void DiffusionBattery::advance_with_fast_decays(double current_a, double t) {
-  drawn_c_ += current_a * t;
-  const double* r = rates();
-  const double* fd = fast_decay();
-  double* s = s_lane();
-  BAS_SIMD
-  for (std::size_t i = 0; i < terms_; ++i) {
-    s[i] = s[i] * fd[i] + current_a * (1.0 - fd[i]) / r[i];
-  }
-}
-
-double DiffusionBattery::do_advance_interval(double current_a, double dt_s) {
-  ++kc_.fast_advances;
-  if (sigma_after_c_fast(current_a, dt_s) < params_.alpha_c) {
-    advance_with_fast_decays(current_a, dt_s);
-    return dt_s;
-  }
-  double lo = 0.0;
-  double hi = dt_s;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (sigma_after_c_fast(current_a, mid) < params_.alpha_c) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  // Refill the fast lane at the committed crossing (the last probe may
-  // have evaluated hi) before advancing the state to it.
-  sigma_after_c_fast(current_a, lo);
-  advance_with_fast_decays(current_a, lo);
   dead_ = true;
   return lo;
 }

@@ -15,7 +15,9 @@
 //
 // For piecewise-constant loads each series term has an exact recurrence,
 // so stepping is O(M) per segment with no integration error. The series
-// is truncated at `series_terms` (error falls off as e^{-β² M²}).
+// is truncated at `series_terms` (error falls off as e^{-β² M²}). Every
+// advance, a per-slice draw or a merged battery window, runs that one
+// recurrence with one std::exp per term (do_draw).
 
 #include "battery/model.hpp"
 
@@ -54,26 +56,12 @@ class DiffusionBattery final : public Battery {
 
  protected:
   double do_draw(double current_a, double dt_s) override;
-  /// Merged-window fast path (merge-window flushes only): the
-  /// same exact recurrence, but with the per-term decays produced by
-  /// strength reduction — x = e^{-β²t}, decay_m = x^{m²} via
-  /// x^{m²} = x^{(m-1)²} · x^{2m-1} — so each probe costs 1 exp and
-  /// ~2 multiplies per term instead of one exp per term. Not bitwise
-  /// equal to the std::exp sweep (~1e-13 relative on the decays), which
-  /// is why it lives behind the interval-advance hook the per-slice
-  /// draw path never takes; covered by the PR 8 written waiver in
-  /// EXPERIMENTS.md ("Kernel instrumentation & batching").
-  double do_advance_interval(double current_a, double dt_s) override;
   void do_reset() override;
 
  private:
   /// sigma after continuing the present current for `t` more seconds.
   double sigma_after_c(double current_a, double t) const;
   void advance(double current_a, double t);
-  /// Fast-series probe: fills the fast-decay lane for t and returns
-  /// sigma; advance_with_fast_decays commits the lane last filled.
-  double sigma_after_c_fast(double current_a, double t) const;
-  void advance_with_fast_decays(double current_a, double t);
 
   /// Fills decay_[m-1] = e^{-β²m²t} for the given t, reusing the buffer
   /// when t matches the previous call. The factors depend on t alone —
@@ -92,9 +80,9 @@ class DiffusionBattery final : public Battery {
 
   DiffusionParams params_;
   /// Structure-of-arrays term table: one contiguous block holding the
-  /// five per-term lanes the kernels sweep, in sweep order —
+  /// four per-term lanes the kernels sweep, in sweep order —
   ///
-  ///   [ rates | decay | gain | s | fast_decay ],  each `terms_` wide
+  ///   [ rates | decay | gain | s ],  each `terms_` wide
   ///
   /// so a probe's term loop walks one cache-line run instead of four
   /// scattered heap vectors, and the element-wise lanes sit where the
@@ -110,20 +98,15 @@ class DiffusionBattery final : public Battery {
   ///  - decay: e^{-rate·t} for decay_t_ (t-keyed memo).
   ///  - gain: I·(1−decay)/rate for (gain_t_, gain_current_a_).
   ///  - s: per-term transient state.
-  ///  - fast_decay: scratch for the strength-reduced series — kept
-  ///    separate from the exact decay memo so fast probes can never
-  ///    pollute the bit-frozen scalar path.
   ///
-  /// The whole block is mutable because the decay/gain/fast lanes are
-  /// const-path memo caches; the s lane is only written by the
-  /// non-const advance paths.
+  /// The whole block is mutable because the decay/gain lanes are
+  /// const-path memo caches; the s lane is only written by advance().
   mutable std::vector<double> soa_;
   std::size_t terms_ = 0;
   const double* rates() const noexcept { return soa_.data(); }
   double* decay() const noexcept { return soa_.data() + terms_; }
   double* gain() const noexcept { return soa_.data() + 2 * terms_; }
   double* s_lane() const noexcept { return soa_.data() + 3 * terms_; }
-  double* fast_decay() const noexcept { return soa_.data() + 4 * terms_; }
   mutable double decay_t_ = -1.0;  // t the decay lane is valid for
   mutable double gain_t_ = -1.0;   // (t, I) the gain lane is valid for
   mutable double gain_current_a_ = 0.0;

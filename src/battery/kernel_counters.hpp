@@ -26,7 +26,7 @@ struct KernelCounters {
   /// series term). The denominator of the batching win.
   std::uint64_t exp_sweeps = 0;
   /// Scalar std::exp evaluations across all kernels (a sweep of M terms
-  /// counts M; the strength-reduced fast series counts 1 per probe).
+  /// counts M).
   std::uint64_t exp_calls = 0;
   /// Diffusion t-keyed decay buffer: reuse vs refill (a miss is one
   /// exp_sweep).
@@ -41,9 +41,6 @@ struct KernelCounters {
   /// Peukert (current -> effective rate) memo: a hit skips the pow.
   std::uint64_t pow_hits = 0;
   std::uint64_t pow_misses = 0;
-  /// Diffusion strength-reduced interval advances (the merged-window
-  /// fast series: 1 exp per probe instead of one per term).
-  std::uint64_t fast_advances = 0;
 
   void clear() { *this = KernelCounters{}; }
 
@@ -57,7 +54,6 @@ struct KernelCounters {
     kibam_shared_exps += o.kibam_shared_exps;
     pow_hits += o.pow_hits;
     pow_misses += o.pow_misses;
-    fast_advances += o.fast_advances;
     return *this;
   }
 };

@@ -17,23 +17,6 @@ double Battery::draw(double current_a, double dt_s) {
   return sustained;
 }
 
-double Battery::advance_interval(double charge_c, double dt_s) {
-  if (charge_c < 0.0 || dt_s < 0.0) {
-    throw std::invalid_argument(
-        "Battery::advance_interval: negative charge or time");
-  }
-  if (dt_s == 0.0 || empty()) {
-    return 0.0;
-  }
-  // Same accounting as draw(), dispatched through the interval-advance
-  // hook so a kernel can substitute its merged-window fast path.
-  const double current_a = charge_c / dt_s;
-  const double sustained = do_advance_interval(current_a, dt_s);
-  delivered_c_ += current_a * sustained;
-  alive_s_ += sustained;
-  return sustained;
-}
-
 void Battery::reset() {
   do_reset();
   kc_.clear();

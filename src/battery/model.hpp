@@ -7,6 +7,12 @@
 // charge is still trapped inside the cell; that unextracted charge is
 // exactly what battery-aware scheduling recovers).
 //
+// draw() is the one state-advance entry point: each kernel implements
+// it once, as an exact closed-form step over a constant-current
+// segment (do_draw). The simulator's battery merge window calls the
+// same draw() with a window's charge-equivalent mean current; the
+// merging is the approximation, not the kernel step.
+//
 // Accounting (delivered charge, alive time) is centralized here so every
 // model reports the two quantities Table 2 compares: charge delivered
 // (mAh) and battery lifetime.
@@ -40,19 +46,6 @@ class Battery {
   /// draw on an empty battery returns 0.
   double draw(double current_a, double dt_s);
 
-  /// Interval advance for the event-driven simulator: consumes
-  /// `charge_c` coulombs spread over `dt_s` seconds as one
-  /// charge-equivalent constant-current draw (charge_c / dt_s for
-  /// dt_s). Every kernel's do_draw already advances state in closed
-  /// form over an arbitrary dt — diffusion sweeps its rate table once,
-  /// KiBaM applies its single-exponential step, Peukert and the ideal
-  /// cell are O(1) — so one merged call replaces what window 0 issues
-  /// as a draw per executed slice. (The stochastic model is the
-  /// exception: its do_draw steps internal slots of fixed width, so an
-  /// interval advance still pays per-slot cost and only saves the call
-  /// overhead.) Returns the sustained duration, exactly like draw().
-  double advance_interval(double charge_c, double dt_s);
-
   /// Per-kernel cache/work counters (cleared by reset()).
   const KernelCounters& kernel_counters() const noexcept { return kc_; }
 
@@ -78,19 +71,9 @@ class Battery {
   double time_alive_s() const noexcept { return alive_s_; }
 
  protected:
-  /// Model-specific state update; returns the sustained duration.
+  /// Model-specific state update over one constant-current segment;
+  /// returns the sustained duration.
   virtual double do_draw(double current_a, double dt_s) = 0;
-  /// Model-specific interval advance behind advance_interval(). The
-  /// default is exactly do_draw; a kernel may override it with a faster
-  /// evaluation of the same closed form when the merged-window caller
-  /// tolerates documented non-bitwise arithmetic (diffusion's
-  /// strength-reduced series — see EXPERIMENTS.md, "Kernel
-  /// instrumentation & batching"). The per-slice draw() path never
-  /// routes through here, so window-0 runs stay bit-frozen regardless
-  /// of overrides.
-  virtual double do_advance_interval(double current_a, double dt_s) {
-    return do_draw(current_a, dt_s);
-  }
   virtual void do_reset() = 0;
 
   /// Incremented by the kernels; mutable so const memo fills can count

@@ -182,12 +182,12 @@ ExperimentResult Runner::run(const ExperimentSpec& spec) const {
   if (storing) {
     cache->annotate(spec.title, spec.metrics);
   }
-  auto append_row = [&](store::StoreRecord record) {
+  auto append_row = [&](const store::StoreRecord& record) {
     if (!storing) {
       return;
     }
     std::lock_guard<std::mutex> lock(store_mutex);
-    cache->append({std::move(record)});
+    cache->append(record);
     ++rows_written;
   };
 

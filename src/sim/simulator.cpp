@@ -480,8 +480,28 @@ SimResult Simulator::run(bat::Battery* battery) {
   double win_span = 0.0;
   double win_charge = 0.0;
 
+  // The one battery call: draws `current_a` for `dur` from `t0`, counts
+  // the kernel call (`interval` marks a merged or window-long advance)
+  // and records a cutoff inside it. Returns the sustained duration.
+  auto draw_battery = [&](double t0, double current_a, double dur,
+                          bool interval) -> double {
+    const double sustained = battery->draw(current_a, dur);
+    if (count_perf) {
+      ++res.perf.battery_draws;
+      if (interval) {
+        ++res.perf.battery_interval_advances;
+      }
+    }
+    if (battery->empty()) {
+      battery_dead = true;
+      res.battery_died = true;
+      death_t = std::min(death_t, t0 + sustained);
+    }
+    return sustained;
+  };
+
   // Advances the kernel over the open window in one charge-equivalent
-  // mean-current call, then attributes the buffered slices to the
+  // mean-current draw, then attributes the buffered slices to the
   // result exactly up to the sustained duration (the whole window
   // unless the cell hit cutoff inside it).
   auto flush_window = [&] {
@@ -494,17 +514,8 @@ SimResult Simulator::run(bat::Battery* battery) {
       s.win_slices.clear();
       return;
     }
-    const double sustained = battery->advance_interval(win_charge, span);
-    if (count_perf) {
-      ++res.perf.battery_draws;
-      ++res.perf.battery_interval_advances;
-    }
-    if (battery->empty()) {
-      battery_dead = true;
-      res.battery_died = true;
-      death_t = std::min(death_t, win_start + sustained);
-    }
-    double remaining = sustained;
+    double remaining =
+        draw_battery(win_start, win_charge / span, span, true);
     for (const auto& sl : s.win_slices) {
       const double take = std::min(sl.dur, remaining);
       if (take <= 0.0) {
@@ -535,59 +546,37 @@ SimResult Simulator::run(bat::Battery* battery) {
         if (battery_dead) {
           return 0.0;
         }
-        if (dur >= config_.battery_window_s) {
-          // Constant stretch of at least a window (a long idle gap):
-          // one exact closed-form advance, no merging error at all.
-          flush_window();
-          if (battery_dead) {
-            return 0.0;
+        if (dur < config_.battery_window_s) {
+          if (!win_open) {
+            win_open = true;
+            win_start = t0;
+            win_span = 0.0;
+            win_charge = 0.0;
+            s.win_slices.clear();
+            if (!obs_scheduled) {
+              q.push({t0 + config_.battery_window_s, EventKind::kBatteryObs,
+                      -1});
+              obs_scheduled = true;
+            }
           }
-          sustained = battery->draw(current_a, dur);
+          win_span += dur;
+          win_charge += current_a * dur;
+          s.win_slices.push_back({dur, current_a, power_w, busy});
           if (count_perf) {
-            ++res.perf.battery_draws;
-            ++res.perf.battery_interval_advances;
+            ++res.perf.ticks_skipped;
           }
-          if (battery->empty()) {
-            battery_dead = true;
-            res.battery_died = true;
-            death_t = std::min(death_t, t0 + sustained);
-          }
-          res.charge_c += current_a * sustained;
-          res.energy_j += power_w * sustained;
-          if (busy) {
-            res.busy_s += sustained;
-          }
-          return sustained;
+          return dur;  // applied to res at the flush
         }
-        if (!win_open) {
-          win_open = true;
-          win_start = t0;
-          win_span = 0.0;
-          win_charge = 0.0;
-          s.win_slices.clear();
-          if (!obs_scheduled) {
-            q.push({t0 + config_.battery_window_s, EventKind::kBatteryObs,
-                    -1});
-            obs_scheduled = true;
-          }
+        // Constant stretch of at least a window (a long idle gap): one
+        // exact closed-form advance, no merging error at all.
+        flush_window();
+        if (battery_dead) {
+          return 0.0;
         }
-        win_span += dur;
-        win_charge += current_a * dur;
-        s.win_slices.push_back({dur, current_a, power_w, busy});
-        if (count_perf) {
-          ++res.perf.ticks_skipped;
-        }
-        return dur;  // applied to res at the flush
-      }
-      // Exact per-slice path (window 0 and audit runs).
-      sustained = battery->draw(current_a, dur);
-      if (count_perf) {
-        ++res.perf.battery_draws;
-      }
-      if (battery->empty()) {
-        battery_dead = true;
-        res.battery_died = true;
-        death_t = std::min(death_t, t0 + sustained);
+        sustained = draw_battery(t0, current_a, dur, true);
+      } else {
+        // Exact per-slice path (window 0 and audit runs).
+        sustained = draw_battery(t0, current_a, dur, false);
       }
     }
     if (config_.record_profile && sustained > 0.0) {

@@ -6,8 +6,8 @@
 //   {"fp":"<16-hex fingerprint>","job":<index>,"metrics":[<%.17g>...]}
 //   {"fp":"<16-hex fingerprint>","job":<index>,"error":"<escaped>"}
 //
-// Records are flushed batch by batch: a killed campaign loses only the
-// jobs whose rows were not yet appended, and load() simply skips a
+// Each record is flushed as it is appended: a killed campaign loses only
+// the jobs whose rows were not yet appended, and load() simply skips a
 // torn final line. Writers never share a file — each
 // (fingerprint, writer tag) pair appends to its own
 // `<fingerprint>[-<tag>].jsonl` — so concurrent shard processes can
@@ -36,13 +36,11 @@ class JsonlStore final : public CampaignStore {
   std::map<std::size_t, std::vector<double>> load(
       std::size_t metric_count) override;
   std::map<std::size_t, std::string> load_errors() override;
-  void append(const std::vector<StoreRecord>& batch) override;
+  void append(const StoreRecord& record) override;
+  /// The file this writer appends to (inside the store directory).
   const std::string& describe() const noexcept override {
     return write_path_;
   }
-
-  /// The file this writer appends to (inside the store directory).
-  const std::string& write_path() const noexcept { return write_path_; }
 
  private:
   std::string dir_;

@@ -65,9 +65,9 @@ sqlite3* open_database(const std::string& path) {
 
 void ensure_schema(sqlite3* db) {
   // WAL keeps readers unblocked while a shard commits, and recovers
-  // every committed batch after a kill -9. synchronous=NORMAL fsyncs
+  // every committed row after a kill -9. synchronous=NORMAL fsyncs
   // on checkpoint, not per commit — the same durability class as the
-  // jsonl backend's per-batch flush.
+  // jsonl backend's per-row flush.
   exec(db, "PRAGMA journal_mode=WAL");
   exec(db, "PRAGMA synchronous=NORMAL");
   exec(db,
@@ -159,39 +159,30 @@ std::map<std::size_t, std::string> SqliteStore::load_errors() {
   return errors;
 }
 
-void SqliteStore::append(const std::vector<StoreRecord>& batch) {
-  if (batch.empty()) {
-    return;
-  }
+void SqliteStore::append(const StoreRecord& record) {
   const std::string fp_hex = exp::fingerprint_hex(fingerprint_);
-  // One transaction per batch: the whole batch commits atomically (a
-  // kill -9 between batches loses nothing committed) and the upsert
-  // primary key dedupes re-run jobs in place.
+  // One committed transaction per row (a kill -9 loses nothing
+  // committed); the upsert primary key dedupes re-run jobs in place.
   exec(impl_->db, "BEGIN IMMEDIATE");
   try {
     Stmt insert(impl_->db,
                 "INSERT OR REPLACE INTO results(fp, job, metrics, error) "
                 "VALUES(?1, ?2, ?3, ?4)");
-    for (const auto& record : batch) {
-      sqlite3_reset(insert.get());
-      sqlite3_clear_bindings(insert.get());
-      sqlite3_bind_text(insert.get(), 1, fp_hex.c_str(), -1,
+    sqlite3_bind_text(insert.get(), 1, fp_hex.c_str(), -1, SQLITE_TRANSIENT);
+    sqlite3_bind_int64(insert.get(), 2,
+                       static_cast<sqlite3_int64>(record.job_index));
+    if (record.is_error()) {
+      sqlite3_bind_null(insert.get(), 3);
+      sqlite3_bind_text(insert.get(), 4, record.error.c_str(), -1,
                         SQLITE_TRANSIENT);
-      sqlite3_bind_int64(insert.get(), 2,
-                         static_cast<sqlite3_int64>(record.job_index));
-      if (record.is_error()) {
-        sqlite3_bind_null(insert.get(), 3);
-        sqlite3_bind_text(insert.get(), 4, record.error.c_str(), -1,
-                          SQLITE_TRANSIENT);
-      } else {
-        const std::string metrics = format_metrics(record.metrics);
-        sqlite3_bind_text(insert.get(), 3, metrics.c_str(), -1,
-                          SQLITE_TRANSIENT);
-        sqlite3_bind_null(insert.get(), 4);
-      }
-      if (sqlite3_step(insert.get()) != SQLITE_DONE) {
-        raise(impl_->db, "inserting result row");
-      }
+    } else {
+      const std::string metrics = format_metrics(record.metrics);
+      sqlite3_bind_text(insert.get(), 3, metrics.c_str(), -1,
+                        SQLITE_TRANSIENT);
+      sqlite3_bind_null(insert.get(), 4);
+    }
+    if (sqlite3_step(insert.get()) != SQLITE_DONE) {
+      raise(impl_->db, "inserting result row");
     }
   } catch (...) {
     exec(impl_->db, "ROLLBACK");

@@ -11,11 +11,11 @@
 // `metrics` carries the engine's canonical "[%.17g,...]" rendering —
 // the same bytes the jsonl backend stores — so doubles round-trip
 // bit-exactly and merge output is byte-identical across backends.
-// Rows are upserted (INSERT OR REPLACE) inside one transaction per
-// batch: re-run jobs dedupe themselves, concurrent shard writers
-// serialize on the database lock (busy_timeout), and a kill -9 loses
-// at most the uncommitted batch — WAL journaling recovers everything
-// committed on the next open.
+// Each row is upserted (INSERT OR REPLACE) in its own transaction:
+// re-run jobs dedupe themselves, concurrent shard writers serialize on
+// the database lock (busy_timeout), and a kill -9 loses at most the
+// uncommitted row — WAL journaling recovers everything committed on
+// the next open.
 
 #include <cstdint>
 #include <string>
@@ -35,7 +35,7 @@ class SqliteStore final : public CampaignStore {
   std::map<std::size_t, std::vector<double>> load(
       std::size_t metric_count) override;
   std::map<std::size_t, std::string> load_errors() override;
-  void append(const std::vector<StoreRecord>& batch) override;
+  void append(const StoreRecord& record) override;
   const std::string& describe() const noexcept override { return db_path_; }
   void annotate(const std::string& title,
                 const std::vector<std::string>& metric_names) override;

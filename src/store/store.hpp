@@ -87,10 +87,10 @@ class CampaignStore {
   /// Error messages of every stored error record of this fingerprint.
   virtual std::map<std::size_t, std::string> load_errors() = 0;
 
-  /// Persists a batch of records durably (one write + flush for jsonl,
-  /// one transaction for sqlite): after append returns, a kill -9
-  /// loses none of the batch. Throws std::runtime_error on I/O errors.
-  virtual void append(const std::vector<StoreRecord>& batch) = 0;
+  /// Persists one record durably (one write + flush for jsonl, one
+  /// committed upsert for sqlite): after append returns, a kill -9 does
+  /// not lose it. Throws std::runtime_error on I/O errors.
+  virtual void append(const StoreRecord& record) = 0;
 
   /// Human-readable location ("DIR/<fp>.jsonl", "DIR/campaign.sqlite")
   /// for notes and error messages.

@@ -46,13 +46,13 @@ class Cli {
   ///                refuses while another writer process is live)
   ///   --merge      fold the complete result from the store alone
   ///                (combines shard outputs; requires --cache)
-  ///   --progress   report jobs-done/total, ETA and writer-queue stats
-  ///                to stderr
+  ///   --progress   report jobs-done/total, elapsed time and ETA to
+  ///                stderr
   ///   --trace-out PATH
   ///                write a Chrome-trace-event JSON of the campaign
-  ///                (per-job spans per worker, fail markers, writer
-  ///                queue depth) — load in Perfetto or chrome://tracing;
-  ///                purely observational
+  ///                (per-job spans per worker, fail markers) — load
+  ///                in Perfetto or chrome://tracing; purely
+  ///                observational
   ///   --keep-going record failed jobs as error rows and finish the
   ///                shard instead of aborting
   static std::map<std::string, std::string> with_bench_defaults(

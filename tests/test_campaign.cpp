@@ -296,11 +296,9 @@ TEST(Campaign, MergeIsNotFooledByOutOfRangeRecords) {
   // every odd job is still missing.
   {
     store::JsonlStore padding(dir.path, exp::spec_fingerprint(spec), "bogus");
-    std::vector<store::StoreRecord> batch;
     for (std::size_t i = 0; i < spec.job_count(); ++i) {
-      batch.push_back({spec.job_count() + i, {1.0, 2.0}, ""});
+      padding.append({spec.job_count() + i, {1.0, 2.0}, ""});
     }
-    padding.append(batch);
   }
 
   exp::RunnerOptions merge;

@@ -32,9 +32,11 @@ constexpr double kLifetimeRelTol = 5e-3;
 
 constexpr double kDefaultWindowS = 5.0;
 
+// `battery` overrides the scenario's cell label when not empty.
 sim::SimResult run_scenario(const std::string& name, core::SchemeKind kind,
                             double window_s, std::uint64_t seed,
-                            bool audit = false, double horizon_s = 0.0) {
+                            bool audit = false, double horizon_s = 0.0,
+                            const std::string& battery_label = "") {
   const auto& spec = scenario::scenario(name);
   util::Rng rng(seed);
   const auto set = spec.make_workload(rng);
@@ -47,7 +49,8 @@ sim::SimResult run_scenario(const std::string& name, core::SchemeKind kind,
   if (horizon_s > 0.0) {
     config.horizon_s = horizon_s;
   }
-  auto battery = scenario::make_battery(spec.battery);
+  auto battery = scenario::make_battery(
+      battery_label.empty() ? spec.battery : battery_label);
   return sim::simulate_scheme(set, proc, kind, config, battery.get());
 }
 
@@ -57,26 +60,33 @@ double rel_diff(double a, double b) {
 }
 
 TEST(MergeWindow, DenseLifetimeAndFeasibilityAgree) {
-  // paper-table2: the dense anchor cell, every Table 2 scheme. CRN
+  // paper-table2: the dense anchor cell, every Table 2 scheme, on the
+  // scenario's KiBaM cell and on the diffusion cell (whose merged
+  // windows draw through the same exact series as its slices). CRN
   // across windows — same seeds, same workloads, same arrival draws.
-  for (const auto kind : core::table2_schemes()) {
-    const auto exact = run_scenario("paper-table2", kind, 0.0, 11);
-    const auto merged =
-        run_scenario("paper-table2", kind, kDefaultWindowS, 11);
-    EXPECT_LT(rel_diff(exact.battery_lifetime_s, merged.battery_lifetime_s),
-              kLifetimeRelTol)
-        << core::to_string(kind);
-    EXPECT_LT(rel_diff(exact.battery_delivered_mah,
-                       merged.battery_delivered_mah),
-              kLifetimeRelTol)
-        << core::to_string(kind);
-    // Feasibility: released/completed work tracks the lifetime, and the
-    // miss count may shift by at most the documented one-window slop.
-    EXPECT_LE(
-        std::abs(static_cast<double>(exact.deadline_misses) -
-                 static_cast<double>(merged.deadline_misses)),
-        2.0)
-        << core::to_string(kind);
+  for (const std::string battery : {"kibam", "diffusion"}) {
+    for (const auto kind : core::table2_schemes()) {
+      const auto exact = run_scenario("paper-table2", kind, 0.0, 11, false,
+                                      0.0, battery);
+      const auto merged = run_scenario("paper-table2", kind,
+                                       kDefaultWindowS, 11, false, 0.0,
+                                       battery);
+      const std::string what = battery + " " + core::to_string(kind);
+      EXPECT_LT(
+          rel_diff(exact.battery_lifetime_s, merged.battery_lifetime_s),
+          kLifetimeRelTol)
+          << what;
+      EXPECT_LT(rel_diff(exact.battery_delivered_mah,
+                         merged.battery_delivered_mah),
+                kLifetimeRelTol)
+          << what;
+      // Feasibility: released/completed work tracks the lifetime, and the
+      // miss count may shift by at most the documented one-window slop.
+      EXPECT_LE(std::abs(static_cast<double>(exact.deadline_misses) -
+                         static_cast<double>(merged.deadline_misses)),
+                2.0)
+          << what;
+    }
   }
 }
 

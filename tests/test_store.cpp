@@ -48,7 +48,7 @@ std::vector<double> awkward_metrics() {
 
 void append_one(store::CampaignStore& s, std::size_t job,
                 std::vector<double> metrics) {
-  s.append({{job, std::move(metrics), ""}});
+  s.append({job, std::move(metrics), ""});
 }
 
 std::size_t count_files(const std::string& dir) {
@@ -144,7 +144,7 @@ TEST(JsonlStore, AppendHealsATornTailBeforeWriting) {
   {
     // A killed writer's file: a complete record, then a torn line with
     // no trailing newline.
-    std::ofstream file(probe.write_path());
+    std::ofstream file(probe.describe());
     file << "{\"fp\":\"" << fp << "\",\"job\":0,\"metrics\":[1]}\n";
     file << "{\"fp\":\"" << fp << "\",\"job\":5,\"metrics\":";
   }
@@ -164,7 +164,7 @@ TEST(JsonlStore, SeparateWriterTagsSeparateFiles) {
   TempDir dir("tags");
   store::JsonlStore s0(dir.path, 0x3333ULL, "s0of2");
   store::JsonlStore s1(dir.path, 0x3333ULL, "s1of2");
-  EXPECT_NE(s0.write_path(), s1.write_path());
+  EXPECT_NE(s0.describe(), s1.describe());
   append_one(s0, 0, {1.0});
   append_one(s1, 1, {2.0});
   EXPECT_EQ(s0.load(1).size(), 2u);  // load pools every file in the dir
@@ -175,7 +175,8 @@ TEST(JsonlStore, ErrorRowsRoundTripAndAreServedSeparately) {
   const std::string nasty = "broke: \"quoted\", back\\slash,\nnewline\ttab";
   {
     store::JsonlStore cache(dir.path, 0x5555ULL, "");
-    cache.append({{0, {1.0}, ""}, {1, {}, nasty}});
+    cache.append({0, {1.0}, ""});
+    cache.append({1, {}, nasty});
   }
   store::JsonlStore cache(dir.path, 0x5555ULL, "");
   const auto loaded = cache.load(1);
@@ -192,8 +193,8 @@ TEST(JsonlStore, LaterRecordOfTheOtherKindWins) {
   store::JsonlStore cache(dir.path, 0x6666ULL, "");
   // A failed attempt recorded, then a successful re-run of the same
   // job: the success must win for both load() and load_errors().
-  cache.append({{3, {}, "flaky"}});
-  cache.append({{3, {42.0}, ""}});
+  cache.append({3, {}, "flaky"});
+  cache.append({3, {42.0}, ""});
   EXPECT_EQ(cache.load(1).size(), 1u);
   EXPECT_TRUE(cache.load_errors().empty());
 }
@@ -208,7 +209,7 @@ TEST(SqliteStore, RoundTripsDoublesBitwise) {
                                    0xabcdefULL, "");
     append_one(*cache, 7, metrics);
   }
-  // A fresh handle (fresh process stand-in) sees the committed batch.
+  // A fresh handle (fresh process stand-in) sees the committed row.
   auto cache = store::make_store(store::Backend::kSqlite, dir.path,
                                  0xabcdefULL, "");
   const auto loaded = cache->load(metrics.size());
@@ -227,7 +228,7 @@ TEST(SqliteStore, FiltersFingerprintsArityAndErrorRows) {
   append_one(*mine, 0, {1.0, 2.0});
   append_one(*other, 1, {3.0, 4.0});
   append_one(*mine, 2, {5.0});       // wrong arity for a 2-metric load
-  mine->append({{3, {}, "failed"}});  // error row
+  mine->append({3, {}, "failed"});  // error row
   const auto loaded = mine->load(2);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_TRUE(loaded.count(0));
@@ -241,7 +242,7 @@ TEST(SqliteStore, UpsertDedupesReRunJobsInPlace) {
   TempDir dir("sq-upsert");
   auto cache = store::make_store(store::Backend::kSqlite, dir.path,
                                  0x7777ULL, "");
-  cache->append({{3, {}, "flaky"}});
+  cache->append({3, {}, "flaky"});
   append_one(*cache, 3, {42.0});
   const auto loaded = cache->load(1);
   ASSERT_EQ(loaded.size(), 1u);
@@ -303,7 +304,7 @@ TEST(Compaction, DedupesReRunJobsAndDropsStaleFingerprints) {
     append_one(w1, 1, {5.0, 6.0});
     append_one(stale, 0, {9.0, 9.0});
     append_one(stale, 7, {9.0, 9.0});
-    std::ofstream torn(w0.write_path(), std::ios::app);
+    std::ofstream torn(w0.describe(), std::ios::app);
     torn << "{\"fp\":\"" << exp::fingerprint_hex(0xAAAAULL)
          << "\",\"job\":3,\"metrics\":";
   }
